@@ -118,7 +118,11 @@ void run_step_baseline(benchmark::State& state, bool exact_steps) {
   opt.seed = 7;
   opt.exact_steps = exact_steps;
   for (auto _ : state) {
-    auto res = sim::run_step_engine(inst, opt);
+    auto res = core::collect_schedule(
+        inst, "step-engine",
+        [&opt](core::JobSource& source, core::CompletionSink& sink) {
+          return sim::run_step_engine(source, opt, sink);
+        });
     benchmark::DoNotOptimize(res.max_flow);
   }
   // items/sec = simulated worker-steps per second.

@@ -53,9 +53,8 @@ std::vector<ExperimentRow> run_experiment(const workload::WorkDistribution& dist
 /// to generate_instance, so max/opt/ratio columns are bitwise-equal to
 /// run_experiment on the same config; p99 is reservoir-exact while a cell
 /// completes <= 4096 jobs and an estimate beyond that; mean differs only by
-/// floating-point summation order.  Schedulers without a streamed path
-/// (kOptBound) throw — the OPT column instead comes from the streamed
-/// opt_sim lower bound, which is bitwise the same value at speed 1.
+/// floating-point summation order.  The OPT column comes from the streamed
+/// opt_sim lower bound, bitwise the kOptBound scheduler's max flow.
 std::vector<ExperimentRow> run_experiment_streamed(
     const workload::WorkDistribution& dist, const ExperimentConfig& cfg);
 

@@ -14,11 +14,16 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 
 #include "src/core/types.h"
 #include "src/metrics/stats.h"
+
+namespace pjsched::metrics {
+class StreamingFlowStats;
+}  // namespace pjsched::metrics
 
 namespace pjsched::core {
 
@@ -35,6 +40,14 @@ struct StreamedJob {
 
   const dag::Dag& dag() const { return borrowed != nullptr ? *borrowed : graph; }
 };
+
+/// Throws std::invalid_argument unless `job` may follow a job released at
+/// `last_arrival`: a sealed non-empty DAG, a non-negative arrival no earlier
+/// than `last_arrival`, and a positive weight.  The per-job form of
+/// Instance::validate plus the arrival-order contract below; every
+/// scheduler run applies it to each job it takes (start `last_arrival` at
+/// 0).
+void check_streamed_job(const StreamedJob& job, Time last_arrival);
 
 /// Pull interface over an online instance in arrival order.  The base class
 /// keeps a one-job lookahead so engines can peek the next arrival time
@@ -82,9 +95,9 @@ class JobSource {
 
 /// Streams an already-materialized Instance in arrival order, borrowing its
 /// DAGs.  StreamedJob::id is the job's index in the Instance, so per-id
-/// results line up with Instance::jobs — this is how the engines' classic
-/// Instance entry points run, making streamed and materialized execution
-/// one code path.  The Instance must outlive the source and the run.
+/// results line up with Instance::jobs — this is how collect_schedule runs
+/// an Instance, making streamed and materialized execution one code path.
+/// The Instance must outlive the source and the run.
 class InstanceSource final : public JobSource {
  public:
   explicit InstanceSource(const Instance& instance);
@@ -104,6 +117,20 @@ class InstanceSource final : public JobSource {
 /// streamed id, which must be dense in [0, size)).  The memory-unbounded
 /// inverse of InstanceSource; generate_instance is implemented with it.
 Instance materialize(JobSource& source);
+
+/// Where a run reports each finished job.  metrics::StreamingFlowStats is
+/// the bounded-memory sink; collect_schedule's per-id completion vector is
+/// the materialized one.
+class CompletionSink {
+ public:
+  virtual ~CompletionSink() = default;
+  virtual void record(JobId id, Time arrival, double weight,
+                      Time completion) = 0;
+};
+
+/// One simulation: runs a source to exhaustion, reporting every completion
+/// to the sink, and returns the engine's counters.
+using SourceRun = std::function<EngineStats(JobSource&, CompletionSink&)>;
 
 /// Outcome of a streamed run: exact extremes plus bounded-memory summary
 /// statistics — the streaming counterpart of ScheduleResult, with
@@ -127,5 +154,17 @@ struct StreamRunResult {
   bool flow_quantiles_exact = false;  ///< reservoir held every sample
   EngineStats stats;
 };
+
+/// The materialized adapter: validates `instance`, streams it through `run`
+/// (an InstanceSource, so ids are instance indices), collects each
+/// completion by id, and finalizes the per-job result named `name`.
+ScheduleResult collect_schedule(const Instance& instance, std::string name,
+                                const SourceRun& run);
+
+/// The streamed adapter: runs `source` through `run` into `stats` (a local
+/// default when null) and summarizes it as the result named `name`.
+StreamRunResult collect_stream(JobSource& source, std::string name,
+                               const SourceRun& run,
+                               metrics::StreamingFlowStats* stats = nullptr);
 
 }  // namespace pjsched::core

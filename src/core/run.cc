@@ -27,9 +27,9 @@ std::unique_ptr<sched::Scheduler> make_scheduler(const SchedulerSpec& spec) {
     case SchedulerKind::kLifo:
       return std::make_unique<sched::LifoScheduler>(spec.exact_engine);
     case SchedulerKind::kSjf:
-      return std::make_unique<sched::SjfScheduler>(spec.exact_engine);
+      return std::make_unique<sched::SjfScheduler>();
     case SchedulerKind::kRoundRobin:
-      return std::make_unique<sched::RoundRobinScheduler>(spec.exact_engine);
+      return std::make_unique<sched::RoundRobinScheduler>();
     case SchedulerKind::kEqui:
       return std::make_unique<sched::EquiScheduler>(spec.exact_engine);
   }
@@ -90,12 +90,10 @@ SchedulerSpec parse_scheduler(const std::string& name_in) {
         name_in + "')");
   if (spec.exact_engine && spec.kind != SchedulerKind::kFifo &&
       spec.kind != SchedulerKind::kBwf && spec.kind != SchedulerKind::kLifo &&
-      spec.kind != SchedulerKind::kSjf &&
-      spec.kind != SchedulerKind::kRoundRobin &&
       spec.kind != SchedulerKind::kEqui)
     throw std::invalid_argument(
-        "parse_scheduler: '-exact' applies only to event-engine schedulers ('" +
-        name_in + "')");
+        "parse_scheduler: '-exact' applies only to fifo, bwf, lifo and equi "
+        "('" + name_in + "')");
   return spec;
 }
 

@@ -34,10 +34,11 @@ struct SchedulerSpec {
   /// Work-stealing extension: admit the heaviest queued job instead of the
   /// oldest ("-bwf" suffix in names).
   bool admit_by_weight = false;
-  /// Event-engine schedulers only: run the engine's reference path
+  /// FIFO, BWF, LIFO and EQUI only: run the event engine's reference path
   /// (EventEngineOptions::exact) instead of the incremental fast path
   /// ("-exact" suffix in names).  Results are bit-identical either way;
-  /// this exists for cross-checks and benchmarking.
+  /// this exists for cross-checks and benchmarking.  (SJF and round-robin
+  /// are dynamic policies and always take the reference path.)
   bool exact_engine = false;
 };
 
@@ -46,8 +47,8 @@ std::unique_ptr<sched::Scheduler> make_scheduler(const SchedulerSpec& spec);
 
 /// Parses "fifo", "bwf", "admit-first", "steal-16-first", "opt", "lifo",
 /// "sjf", "round-robin", "equi" (any k in "steal-<k>-first"; append "-bwf"
-/// to a work-stealing name for weighted admission; append "-exact" to an
-/// event-engine name for the engine's reference path).
+/// to a work-stealing name for weighted admission; append "-exact" to
+/// fifo, bwf, lifo or equi for the event engine's reference path).
 /// Throws std::invalid_argument on unknown names.
 SchedulerSpec parse_scheduler(const std::string& name);
 
@@ -58,11 +59,10 @@ ScheduleResult run_scheduler(const Instance& instance,
                              sim::Trace* trace = nullptr);
 
 /// Memory-bounded counterpart: streams `source` through the named
-/// scheduler's engine with O(live jobs) resident state (see
-/// sched::Scheduler::run_streamed).  Throws std::logic_error for schedulers
-/// without a streamed path (kOptBound).  `trace`, if non-null, records the
-/// execution; pass a spill-mode sim::Trace to keep the recording itself
-/// bounded-memory.
+/// scheduler with O(live jobs) resident state (see
+/// sched::Scheduler::run_streamed); every kind, the OPT bound included,
+/// runs this way.  `trace`, if non-null, records the execution; pass a
+/// spill-mode sim::Trace to keep the recording itself bounded-memory.
 StreamRunResult run_scheduler_streamed(
     JobSource& source, const SchedulerSpec& spec, const MachineConfig& machine,
     metrics::StreamingFlowStats* stats = nullptr, sim::Trace* trace = nullptr);

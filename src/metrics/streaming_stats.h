@@ -2,28 +2,28 @@
 //
 // A materialized run keeps every job's flow time and summarizes at the end
 // (metrics::summarize) — O(all jobs) memory.  StreamingFlowStats is the
-// O(1)-per-sample replacement the engines' streamed entry points record
-// into: the extremes the paper's objective cares about (max flow, max
-// weighted flow and its argmax, makespan) plus count/min/mean are
-// maintained *exactly*, variance via Welford's recurrence, and the
-// quantiles via a fixed-size uniform reservoir (Vitter's Algorithm R,
-// seeded and deterministic).  While the sample count is within the
-// reservoir capacity the reservoir holds every sample, so the reported
-// quantiles equal metrics::summarize's bit for bit — the contract the
-// streamed-vs-materialized cross-check tests pin; beyond it they are
-// unbiased estimates from a uniform subsample.
+// O(1)-per-sample core::CompletionSink streamed runs record into: the
+// extremes the paper's objective cares about (max flow, max weighted flow
+// and its argmax, makespan) plus count/min/mean are maintained *exactly*,
+// variance via Welford's recurrence, and the quantiles via a fixed-size
+// uniform reservoir (Vitter's Algorithm R, seeded and deterministic).
+// While the sample count is within the reservoir capacity the reservoir
+// holds every sample, so the reported quantiles equal metrics::summarize's
+// bit for bit — the contract the streamed-vs-materialized cross-check tests
+// pin; beyond it they are unbiased estimates from a uniform subsample.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "src/core/job_source.h"
 #include "src/core/types.h"
 #include "src/metrics/stats.h"
 #include "src/sim/rng.h"
 
 namespace pjsched::metrics {
 
-class StreamingFlowStats {
+class StreamingFlowStats final : public core::CompletionSink {
  public:
   struct Options {
     /// Reservoir capacity: quantiles are exact up to this many samples and
@@ -40,7 +40,7 @@ class StreamingFlowStats {
   /// Records one completed job.  Throws std::logic_error if `completion`
   /// precedes `arrival` (mirroring ScheduleResult::finalize's check).
   void record(core::JobId id, double arrival, double weight,
-              double completion);
+              double completion) override;
 
   std::size_t count() const { return count_; }
   double max_flow() const { return max_flow_; }

@@ -10,7 +10,6 @@ namespace {
 
 class LifoPolicy final : public sim::OrderPolicy {
  public:
-  std::string name() const override { return "lifo"; }
   void order(const sim::PolicyContext& ctx,
              std::vector<core::JobId>& active) override {
     std::stable_sort(active.begin(), active.end(),
@@ -30,7 +29,6 @@ class LifoPolicy final : public sim::OrderPolicy {
 // order; it keeps the exact per-slice path.
 class SjfPolicy final : public sim::OrderPolicy {
  public:
-  std::string name() const override { return "sjf"; }
   void order(const sim::PolicyContext& ctx,
              std::vector<core::JobId>& active) override {
     std::stable_sort(active.begin(), active.end(),
@@ -44,7 +42,6 @@ class SjfPolicy final : public sim::OrderPolicy {
 // order; it keeps the exact per-slice path.
 class RoundRobinPolicy final : public sim::OrderPolicy {
  public:
-  std::string name() const override { return "round-robin"; }
   void order(const sim::PolicyContext&,
              std::vector<core::JobId>& active) override {
     // Rotate the base (arrival) order by one more position each decision
@@ -61,7 +58,6 @@ class RoundRobinPolicy final : public sim::OrderPolicy {
 
 class EquiPolicy final : public sim::OrderPolicy {
  public:
-  std::string name() const override { return "equi"; }
   void order(const sim::PolicyContext& ctx,
              std::vector<core::JobId>& active) override {
     // Share order is arrival order (deterministic); the equal split comes
@@ -89,85 +85,47 @@ class EquiPolicy final : public sim::OrderPolicy {
 };
 
 template <typename Policy>
-core::ScheduleResult run_with(const core::Instance& instance,
-                              const core::MachineConfig& machine,
-                              sim::Trace* trace, bool exact_engine) {
+core::EngineStats simulate_with(core::JobSource& source,
+                                const core::MachineConfig& machine,
+                                core::CompletionSink& sink, sim::Trace* trace,
+                                bool exact_engine) {
   Policy policy;
   sim::EventEngineOptions opt;
   opt.machine = machine;
   opt.trace = trace;
   opt.exact = exact_engine;
-  return sim::run_event_engine(instance, policy, opt);
-}
-
-// SJF and RoundRobin are dynamic, so their streamed runs take the exact
-// per-slice path — still O(live jobs) resident state, just without the
-// incremental decision-point machinery.
-template <typename Policy>
-core::StreamRunResult run_streamed_with(core::JobSource& source,
-                                        const core::MachineConfig& machine,
-                                        metrics::StreamingFlowStats* stats,
-                                        sim::Trace* trace, bool exact_engine) {
-  Policy policy;
-  sim::EventEngineOptions opt;
-  opt.machine = machine;
-  opt.trace = trace;
-  opt.exact = exact_engine;
-  return sim::run_event_engine_streamed(source, policy, opt, stats);
+  return sim::run_event_engine(source, policy, opt, sink);
 }
 
 }  // namespace
 
-core::ScheduleResult LifoScheduler::run(const core::Instance& instance,
-                                        const core::MachineConfig& machine,
-                                        sim::Trace* trace) {
-  return run_with<LifoPolicy>(instance, machine, trace, exact_engine_);
+core::EngineStats LifoScheduler::simulate(core::JobSource& source,
+                                          const core::MachineConfig& machine,
+                                          core::CompletionSink& sink,
+                                          sim::Trace* trace) {
+  return simulate_with<LifoPolicy>(source, machine, sink, trace,
+                                   exact_engine_);
 }
 
-core::StreamRunResult LifoScheduler::run_streamed(
+core::EngineStats SjfScheduler::simulate(core::JobSource& source,
+                                         const core::MachineConfig& machine,
+                                         core::CompletionSink& sink,
+                                         sim::Trace* trace) {
+  return simulate_with<SjfPolicy>(source, machine, sink, trace, false);
+}
+
+core::EngineStats RoundRobinScheduler::simulate(
     core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
-  return run_streamed_with<LifoPolicy>(source, machine, stats, trace,
-                                       exact_engine_);
+    core::CompletionSink& sink, sim::Trace* trace) {
+  return simulate_with<RoundRobinPolicy>(source, machine, sink, trace, false);
 }
 
-core::ScheduleResult SjfScheduler::run(const core::Instance& instance,
-                                       const core::MachineConfig& machine,
-                                       sim::Trace* trace) {
-  return run_with<SjfPolicy>(instance, machine, trace, exact_engine_);
-}
-
-core::StreamRunResult SjfScheduler::run_streamed(
-    core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
-  return run_streamed_with<SjfPolicy>(source, machine, stats, trace,
-                                      exact_engine_);
-}
-
-core::ScheduleResult RoundRobinScheduler::run(const core::Instance& instance,
-                                              const core::MachineConfig& machine,
-                                              sim::Trace* trace) {
-  return run_with<RoundRobinPolicy>(instance, machine, trace, exact_engine_);
-}
-
-core::StreamRunResult RoundRobinScheduler::run_streamed(
-    core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
-  return run_streamed_with<RoundRobinPolicy>(source, machine, stats, trace,
-                                             exact_engine_);
-}
-
-core::ScheduleResult EquiScheduler::run(const core::Instance& instance,
-                                        const core::MachineConfig& machine,
-                                        sim::Trace* trace) {
-  return run_with<EquiPolicy>(instance, machine, trace, exact_engine_);
-}
-
-core::StreamRunResult EquiScheduler::run_streamed(
-    core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
-  return run_streamed_with<EquiPolicy>(source, machine, stats, trace,
-                                       exact_engine_);
+core::EngineStats EquiScheduler::simulate(core::JobSource& source,
+                                          const core::MachineConfig& machine,
+                                          core::CompletionSink& sink,
+                                          sim::Trace* trace) {
+  return simulate_with<EquiPolicy>(source, machine, sink, trace,
+                                   exact_engine_);
 }
 
 }  // namespace pjsched::sched

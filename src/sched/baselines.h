@@ -20,11 +20,11 @@
 
 namespace pjsched::sched {
 
-// Every baseline takes an `exact_engine` flag selecting the event engine's
+// LIFO and EQUI take an `exact_engine` flag selecting the event engine's
 // reference path (EventEngineOptions::exact) instead of the default
 // incremental fast path; results are bit-identical either way.  SJF and
-// RoundRobin are dynamic policies, so they run on the reference loop even
-// with the flag off — the flag is still honored for uniformity.
+// RoundRobin are dynamic policies: they always run on the reference loop,
+// so they have no such flag.
 
 class LifoScheduler final : public Scheduler {
  public:
@@ -33,13 +33,10 @@ class LifoScheduler final : public Scheduler {
   std::string name() const override {
     return exact_engine_ ? "lifo-exact" : "lifo";
   }
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
+  core::EngineStats simulate(core::JobSource& source,
+                             const core::MachineConfig& machine,
+                             core::CompletionSink& sink,
+                             sim::Trace* trace) override;
 
  private:
   bool exact_engine_;
@@ -47,40 +44,20 @@ class LifoScheduler final : public Scheduler {
 
 class SjfScheduler final : public Scheduler {
  public:
-  explicit SjfScheduler(bool exact_engine = false)
-      : exact_engine_(exact_engine) {}
-  std::string name() const override {
-    return exact_engine_ ? "sjf-exact" : "sjf";
-  }
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
-
- private:
-  bool exact_engine_;
+  std::string name() const override { return "sjf"; }
+  core::EngineStats simulate(core::JobSource& source,
+                             const core::MachineConfig& machine,
+                             core::CompletionSink& sink,
+                             sim::Trace* trace) override;
 };
 
 class RoundRobinScheduler final : public Scheduler {
  public:
-  explicit RoundRobinScheduler(bool exact_engine = false)
-      : exact_engine_(exact_engine) {}
-  std::string name() const override {
-    return exact_engine_ ? "round-robin-exact" : "round-robin";
-  }
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
-
- private:
-  bool exact_engine_;
+  std::string name() const override { return "round-robin"; }
+  core::EngineStats simulate(core::JobSource& source,
+                             const core::MachineConfig& machine,
+                             core::CompletionSink& sink,
+                             sim::Trace* trace) override;
 };
 
 class EquiScheduler final : public Scheduler {
@@ -90,13 +67,10 @@ class EquiScheduler final : public Scheduler {
   std::string name() const override {
     return exact_engine_ ? "equi-exact" : "equi";
   }
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
+  core::EngineStats simulate(core::JobSource& source,
+                             const core::MachineConfig& machine,
+                             core::CompletionSink& sink,
+                             sim::Trace* trace) override;
 
  private:
   bool exact_engine_;

@@ -9,7 +9,6 @@ namespace pjsched::sched {
 namespace {
 class BwfPolicy final : public sim::OrderPolicy {
  public:
-  std::string name() const override { return "bwf"; }
   void order(const sim::PolicyContext& ctx,
              std::vector<core::JobId>& active) override {
     std::stable_sort(active.begin(), active.end(),
@@ -31,26 +30,16 @@ class BwfPolicy final : public sim::OrderPolicy {
 };
 }  // namespace
 
-core::ScheduleResult BwfScheduler::run(const core::Instance& instance,
-                                       const core::MachineConfig& machine,
-                                       sim::Trace* trace) {
+core::EngineStats BwfScheduler::simulate(core::JobSource& source,
+                                         const core::MachineConfig& machine,
+                                         core::CompletionSink& sink,
+                                         sim::Trace* trace) {
   BwfPolicy policy;
   sim::EventEngineOptions opt;
   opt.machine = machine;
   opt.trace = trace;
   opt.exact = exact_engine_;
-  return sim::run_event_engine(instance, policy, opt);
-}
-
-core::StreamRunResult BwfScheduler::run_streamed(
-    core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
-  BwfPolicy policy;
-  sim::EventEngineOptions opt;
-  opt.machine = machine;
-  opt.trace = trace;
-  opt.exact = exact_engine_;
-  return sim::run_event_engine_streamed(source, policy, opt, stats);
+  return sim::run_event_engine(source, policy, opt, sink);
 }
 
 }  // namespace pjsched::sched

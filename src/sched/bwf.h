@@ -21,13 +21,10 @@ class BwfScheduler final : public Scheduler {
   std::string name() const override {
     return exact_engine_ ? "bwf-exact" : "bwf";
   }
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
+  core::EngineStats simulate(core::JobSource& source,
+                             const core::MachineConfig& machine,
+                             core::CompletionSink& sink,
+                             sim::Trace* trace) override;
 
  private:
   bool exact_engine_;

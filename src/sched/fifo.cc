@@ -9,7 +9,6 @@ namespace pjsched::sched {
 namespace {
 class FifoPolicy final : public sim::OrderPolicy {
  public:
-  std::string name() const override { return "fifo"; }
   void order(const sim::PolicyContext& ctx,
              std::vector<core::JobId>& active) override {
     std::stable_sort(active.begin(), active.end(),
@@ -27,26 +26,16 @@ class FifoPolicy final : public sim::OrderPolicy {
 };
 }  // namespace
 
-core::ScheduleResult FifoScheduler::run(const core::Instance& instance,
-                                        const core::MachineConfig& machine,
-                                        sim::Trace* trace) {
+core::EngineStats FifoScheduler::simulate(core::JobSource& source,
+                                          const core::MachineConfig& machine,
+                                          core::CompletionSink& sink,
+                                          sim::Trace* trace) {
   FifoPolicy policy;
   sim::EventEngineOptions opt;
   opt.machine = machine;
   opt.trace = trace;
   opt.exact = exact_engine_;
-  return sim::run_event_engine(instance, policy, opt);
-}
-
-core::StreamRunResult FifoScheduler::run_streamed(
-    core::JobSource& source, const core::MachineConfig& machine,
-    metrics::StreamingFlowStats* stats, sim::Trace* trace) {
-  FifoPolicy policy;
-  sim::EventEngineOptions opt;
-  opt.machine = machine;
-  opt.trace = trace;
-  opt.exact = exact_engine_;
-  return sim::run_event_engine_streamed(source, policy, opt, stats);
+  return sim::run_event_engine(source, policy, opt, sink);
 }
 
 }  // namespace pjsched::sched

@@ -6,33 +6,29 @@
 
 namespace pjsched::sched {
 
-core::ScheduleResult OptLowerBound::run(const core::Instance& instance,
-                                        const core::MachineConfig& machine,
-                                        sim::Trace* /*trace*/) {
-  instance.validate();
+core::EngineStats OptLowerBound::simulate(core::JobSource& source,
+                                          const core::MachineConfig& machine,
+                                          core::CompletionSink& sink,
+                                          sim::Trace* /*trace*/) {
   if (machine.processors == 0)
     throw std::invalid_argument("OptLowerBound: zero processors");
-
   const double m = static_cast<double>(machine.processors);
-  const double s = use_machine_speed_ ? machine.speed : 1.0;
 
-  core::ScheduleResult result;
-  result.scheduler_name = name();
-  result.completion.assign(instance.size(), core::kNoTime);
-
-  // FIFO on a single machine where job i has processing time W_i / (m*s) —
-  // the same shared formulas the streamed bounds use (sim/sim_math.h), so
-  // opt_sim_lower_bound at s = 1 reproduces this run's max flow bitwise.
+  // FIFO on a single machine where job i has processing time W_i / m — the
+  // same shared formulas the streamed bounds use (sim/sim_math.h), so
+  // opt_sim_lower_bound reproduces this run's max flow bitwise.
   core::Time frontier = 0.0;
-  for (core::JobId j : instance.arrival_order()) {
-    const core::JobSpec& job = instance.jobs[j];
+  core::Time last_arrival = 0.0;
+  while (!source.done()) {
+    const core::StreamedJob job = source.take();
+    core::check_streamed_job(job, last_arrival);
+    last_arrival = job.arrival;
     const double p = sim::relaxed_job_length(
-        static_cast<double>(job.graph.total_work()), m, s);
+        static_cast<double>(job.dag().total_work()), m, 1.0);
     frontier = sim::fifo_frontier_advance(frontier, job.arrival, p);
-    result.completion[j] = frontier;
+    sink.record(job.id, job.arrival, job.weight, frontier);
   }
-  result.finalize(instance.jobs);
-  return result;
+  return {};
 }
 
 }  // namespace pjsched::sched

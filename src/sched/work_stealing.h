@@ -36,13 +36,10 @@ class WorkStealingScheduler final : public Scheduler {
         steal_half_(steal_half) {}
 
   std::string name() const override;
-  core::ScheduleResult run(const core::Instance& instance,
-                           const core::MachineConfig& machine,
-                           sim::Trace* trace = nullptr) override;
-  core::StreamRunResult run_streamed(
-      core::JobSource& source, const core::MachineConfig& machine,
-      metrics::StreamingFlowStats* stats = nullptr,
-      sim::Trace* trace = nullptr) override;
+  core::EngineStats simulate(core::JobSource& source,
+                             const core::MachineConfig& machine,
+                             core::CompletionSink& sink,
+                             sim::Trace* trace) override;
 
   unsigned steal_k() const { return steal_k_; }
   bool admit_by_weight() const { return admit_by_weight_; }

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "src/dag/dag.h"
-#include "src/metrics/streaming_stats.h"
 #include "src/sim/job_arena.h"
 #include "src/sim/sim_math.h"
 
@@ -83,12 +82,9 @@ struct HeapLater {
 class Engine {
  public:
   Engine(core::JobSource& source, OrderPolicy& policy,
-         const EventEngineOptions& options,
-         std::vector<core::Time>* completion_out,
-         metrics::StreamingFlowStats* stream)
+         const EventEngineOptions& options, core::CompletionSink& sink)
       : source_(source), policy_(policy), opts_(options), ctx_(*this),
-        completion_out_(completion_out), stream_(stream),
-        spans_(options.trace) {}
+        sink_(sink), spans_(options.trace) {}
 
   core::EngineStats run();
 
@@ -121,7 +117,6 @@ class Engine {
   double bound_dt(double dt);
   void advance(double dt);
   void complete_node(std::uint32_t s, dag::NodeId v);
-  void record_completion(std::uint32_t s);
   void insert_ordered(std::uint32_t s);
   void erase_ordered(std::uint32_t s);
   double next_completion_dt_fast();
@@ -132,8 +127,7 @@ class Engine {
   OrderPolicy& policy_;
   const EventEngineOptions& opts_;
   Context ctx_;
-  std::vector<core::Time>* completion_out_;   // materialized runs
-  metrics::StreamingFlowStats* stream_;       // streamed runs
+  core::CompletionSink& sink_;
 
   unsigned m_ = 1;
   double s_ = 1.0;
@@ -353,13 +347,6 @@ void Engine::advance(double dt) {
   t_ = t_end;
 }
 
-void Engine::record_completion(std::uint32_t s) {
-  const JobArena::Slot& slot = arena_[s];
-  if (completion_out_ != nullptr) (*completion_out_)[slot.id] = t_;
-  if (stream_ != nullptr)
-    stream_->record(slot.id, slot.arrival, slot.weight, t_);
-}
-
 // Completion bookkeeping at the current time t_.  When the job's last node
 // finishes, the completion is recorded and the slot retired — the slot's
 // packed arrays are released for the next occupant right here, which is
@@ -387,7 +374,8 @@ void Engine::complete_node(std::uint32_t s, dag::NodeId v) {
   arena_[s].graph.complete(v);
   absorb_ready(s);
   if (arena_[s].graph.done()) {
-    record_completion(s);
+    const JobArena::Slot& slot = arena_[s];
+    sink_.record(slot.id, slot.arrival, slot.weight, t_);
     if (fast_)
       erase_ordered(s);
     else
@@ -594,38 +582,11 @@ core::EngineStats Engine::run() {
 
 }  // namespace
 
-core::ScheduleResult run_event_engine(const core::Instance& instance,
-                                      OrderPolicy& policy,
-                                      const EventEngineOptions& options) {
-  instance.validate();
-  core::InstanceSource source(instance);
-  core::ScheduleResult result;
-  result.scheduler_name = policy.name();
-  result.completion.assign(instance.size(), core::kNoTime);
-  Engine engine(source, policy, options, &result.completion, nullptr);
-  result.stats = engine.run();
-  result.finalize(instance.jobs);
-  return result;
-}
-
-core::StreamRunResult run_event_engine_streamed(
-    core::JobSource& source, OrderPolicy& policy,
-    const EventEngineOptions& options, metrics::StreamingFlowStats* stats) {
-  metrics::StreamingFlowStats local;
-  metrics::StreamingFlowStats* sink = stats != nullptr ? stats : &local;
-  core::StreamRunResult out;
-  out.scheduler_name = policy.name();
-  Engine engine(source, policy, options, nullptr, sink);
-  out.stats = engine.run();
-  out.jobs = sink->count();
-  out.max_flow = sink->max_flow();
-  out.max_weighted_flow = sink->max_weighted_flow();
-  out.mean_flow = sink->mean_flow();
-  out.makespan = sink->makespan();
-  out.argmax_flow = sink->argmax_flow();
-  out.flow = sink->summary();
-  out.flow_quantiles_exact = sink->quantiles_exact();
-  return out;
+core::EngineStats run_event_engine(core::JobSource& source,
+                                   OrderPolicy& policy,
+                                   const EventEngineOptions& options,
+                                   core::CompletionSink& sink) {
+  return Engine(source, policy, options, sink).run();
 }
 
 }  // namespace pjsched::sim

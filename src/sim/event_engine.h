@@ -39,10 +39,10 @@
 // its last node finishes.  Resident state is O(live jobs + heap entries),
 // independent of the instance length, which is what lets streamed 10^6-job
 // runs fit in memory (see docs/simulation-model.md, "Scaling to 10^6+
-// jobs").  run_event_engine(Instance, ...) is the materialized wrapper: it
-// streams the instance through the same loop (borrowing the DAGs instead of
-// owning them) and returns the classic per-job ScheduleResult, bit-identical
-// to run_event_engine_streamed on an equivalent source.
+// jobs").  run_event_engine is the one entry point: completions go to a
+// core::CompletionSink, so a materialized run (core::collect_schedule over
+// an InstanceSource) and a streamed one (core::collect_stream) are the same
+// loop and bit-identical on equivalent inputs.
 //
 // Thread safety: each run keeps all simulation state on the stack of the
 // calling thread and only reads the (immutable, sealed) instance, so
@@ -53,17 +53,11 @@
 // be shared at all.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/core/job_source.h"
 #include "src/core/types.h"
 #include "src/sim/trace.h"
-
-namespace pjsched::metrics {
-class StreamingFlowStats;
-}  // namespace pjsched::metrics
 
 namespace pjsched::sim {
 
@@ -89,7 +83,6 @@ class PolicyContext {
 class OrderPolicy {
  public:
   virtual ~OrderPolicy() = default;
-  virtual std::string name() const = 0;
   virtual void order(const PolicyContext& ctx,
                      std::vector<core::JobId>& active) = 0;
 
@@ -155,24 +148,13 @@ struct EventEngineOptions {
   bool exact = false;
 };
 
-/// Runs the instance to completion under the given policy.  Throws
-/// std::invalid_argument on invalid instances/options.
-core::ScheduleResult run_event_engine(const core::Instance& instance,
-                                      OrderPolicy& policy,
-                                      const EventEngineOptions& options);
-
-/// Memory-bounded entry point: runs `source` to exhaustion under the given
-/// policy, recording each completion into `stats` (an internal default
-/// StreamingFlowStats when null) instead of a per-job completion vector.
-/// The returned extremes (max flow, max weighted flow, argmax, makespan)
-/// are bit-identical to what run_event_engine computes on the materialized
-/// equivalent of `source`; see StreamRunResult for the exactness contract
-/// of the remaining fields.  Throws std::invalid_argument on invalid jobs
-/// (unsealed DAG, negative arrival, non-positive weight, out-of-order
-/// arrivals) or options.
-core::StreamRunResult run_event_engine_streamed(
-    core::JobSource& source, OrderPolicy& policy,
-    const EventEngineOptions& options,
-    metrics::StreamingFlowStats* stats = nullptr);
+/// Runs `source` to exhaustion under the given policy, reporting each job's
+/// completion to `sink`, and returns the engine counters.  Throws
+/// std::invalid_argument on invalid jobs (core::check_streamed_job) or
+/// options.
+core::EngineStats run_event_engine(core::JobSource& source,
+                                   OrderPolicy& policy,
+                                   const EventEngineOptions& options,
+                                   core::CompletionSink& sink);
 
 }  // namespace pjsched::sim

@@ -6,20 +6,8 @@
 namespace pjsched::sim {
 
 std::uint32_t JobArena::acquire(core::StreamedJob&& job) {
-  const dag::Dag& g = job.dag();
-  if (!g.sealed())
-    throw std::invalid_argument("JobArena: job DAG must be sealed");
-  if (g.node_count() == 0)
-    throw std::invalid_argument("JobArena: job DAG is empty");
-  if (job.arrival < 0.0)
-    throw std::invalid_argument("JobArena: negative arrival time");
-  if (!(job.weight > 0.0))
-    throw std::invalid_argument("JobArena: weight must be > 0");
-  if (any_acquired_ && job.arrival < last_arrival_)
-    throw std::invalid_argument(
-        "JobArena: jobs must be acquired in non-decreasing arrival order");
+  core::check_streamed_job(job, last_arrival_);
   last_arrival_ = job.arrival;
-  any_acquired_ = true;
 
   std::uint32_t s;
   if (!free_.empty()) {
@@ -36,7 +24,7 @@ std::uint32_t JobArena::acquire(core::StreamedJob&& job) {
   // Pack the DAG into the slot's grow-only arrays; the source Dag (owned or
   // borrowed) is not referenced afterwards, so a streamed job's heap-backed
   // graph is freed as soon as `job` leaves scope.
-  slot.graph.assign(g);
+  slot.graph.assign(job.dag());
 
   if (!slot_of_.emplace(slot.id, s).second) {
     slot.graph.release();

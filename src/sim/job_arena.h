@@ -24,10 +24,9 @@
 // `size()` never shrinks, so grow-only parallel arrays stay in sync by
 // resizing whenever acquire() returns a fresh slot.
 //
-// acquire() also centralizes the per-job validation that Instance::validate
-// performed up front for materialized runs (sealed non-empty DAG,
-// non-negative arrival, positive weight) and enforces the JobSource
-// contract that arrivals be non-decreasing.
+// acquire() also applies the per-job validation (core::check_streamed_job:
+// sealed non-empty DAG, non-negative arrival, positive weight) and enforces
+// the JobSource contract that arrivals be non-decreasing.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +85,6 @@ class JobArena {
   std::size_t live_ = 0;
   std::uint64_t peak_live_ = 0;
   core::Time last_arrival_ = 0.0;
-  bool any_acquired_ = false;
 };
 
 }  // namespace pjsched::sim

@@ -6,11 +6,9 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "src/dag/dag.h"
-#include "src/metrics/streaming_stats.h"
 #include "src/sim/job_arena.h"
 #include "src/sim/sim_math.h"
 
@@ -88,10 +86,11 @@ class GlobalQueue {
   std::uint64_t seq_ = 0;
 };
 
-core::EngineStats run_impl(core::JobSource& source,
-                           const StepEngineOptions& options,
-                           std::vector<core::Time>* completion_out,
-                           metrics::StreamingFlowStats* stream) {
+}  // namespace
+
+core::EngineStats run_step_engine(core::JobSource& source,
+                                  const StepEngineOptions& options,
+                                  core::CompletionSink& sink) {
   const unsigned m = options.machine.processors;
   const double s = options.machine.speed;
   if (m == 0) throw std::invalid_argument("run_step_engine: zero processors");
@@ -395,12 +394,8 @@ core::EngineStats run_impl(core::JobSource& source,
         graph.complete(v, &enabled);
         if (!enabled.empty()) take_ready(w, slot, step + 1);
         if (graph.done()) {
-          const core::Time completion = step_time(step + 1, s);
-          if (completion_out != nullptr)
-            (*completion_out)[arena[slot].id] = completion;
-          if (stream != nullptr)
-            stream->record(arena[slot].id, arena[slot].arrival,
-                           arena[slot].weight, completion);
+          sink.record(arena[slot].id, arena[slot].arrival,
+                      arena[slot].weight, step_time(step + 1, s));
           arena.retire(slot);
         }
       }
@@ -411,49 +406,6 @@ core::EngineStats run_impl(core::JobSource& source,
   stats.arena_slots = arena.size();
   stats.peak_live_jobs = arena.peak_live();
   return stats;
-}
-
-std::string step_scheduler_name(const StepEngineOptions& options) {
-  std::string name =
-      options.steal_k == 0
-          ? "admit-first"
-          : ("steal-" + std::to_string(options.steal_k) + "-first");
-  if (options.admit_by_weight) name += "-bwf";
-  if (options.steal_half) name += "-half";
-  return name;
-}
-
-}  // namespace
-
-core::ScheduleResult run_step_engine(const core::Instance& instance,
-                                     const StepEngineOptions& options) {
-  instance.validate();
-  core::InstanceSource source(instance);
-  core::ScheduleResult result;
-  result.scheduler_name = step_scheduler_name(options);
-  result.completion.assign(instance.size(), core::kNoTime);
-  result.stats = run_impl(source, options, &result.completion, nullptr);
-  result.finalize(instance.jobs);
-  return result;
-}
-
-core::StreamRunResult run_step_engine_streamed(
-    core::JobSource& source, const StepEngineOptions& options,
-    metrics::StreamingFlowStats* stats) {
-  metrics::StreamingFlowStats local;
-  metrics::StreamingFlowStats* sink = stats != nullptr ? stats : &local;
-  core::StreamRunResult out;
-  out.scheduler_name = step_scheduler_name(options);
-  out.stats = run_impl(source, options, nullptr, sink);
-  out.jobs = sink->count();
-  out.max_flow = sink->max_flow();
-  out.max_weighted_flow = sink->max_weighted_flow();
-  out.mean_flow = sink->mean_flow();
-  out.makespan = sink->makespan();
-  out.argmax_flow = sink->argmax_flow();
-  out.flow = sink->summary();
-  out.flow_quantiles_exact = sink->quantiles_exact();
-  return out;
 }
 
 }  // namespace pjsched::sim

@@ -39,11 +39,12 @@
 // per-job state (tracker, DAG) in a recycling slot arena (sim::JobArena);
 // deque and queue entries reference slots, and a job's slot — including its
 // DAG storage — is freed when its last node completes.  Resident state is
-// O(live jobs), independent of the instance length.  run_step_engine is the
-// materialized wrapper over the same loop; run_step_engine_streamed is the
-// memory-bounded entry point (see docs/simulation-model.md, "Scaling to
-// 10^6+ jobs").  The two draw the same RNG stream, so they are
-// bit-identical on equivalent inputs.
+// O(live jobs), independent of the instance length (see
+// docs/simulation-model.md, "Scaling to 10^6+ jobs").  run_step_engine is
+// the one entry point: completions go to a core::CompletionSink, so a
+// materialized run (core::collect_schedule) and a streamed one
+// (core::collect_stream) are the same loop, draw the same RNG stream, and
+// are bit-identical on equivalent inputs.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +53,6 @@
 #include "src/core/types.h"
 #include "src/sim/rng.h"
 #include "src/sim/trace.h"
-
-namespace pjsched::metrics {
-class StreamingFlowStats;
-}  // namespace pjsched::metrics
 
 namespace pjsched::sim {
 
@@ -94,22 +91,14 @@ struct StepEngineOptions {
   std::uint64_t max_steps = 0;
 };
 
-/// Runs the instance to completion under steal-k-first work stealing and
-/// returns per-job completion times plus steal/admission counters.
-core::ScheduleResult run_step_engine(const core::Instance& instance,
-                                     const StepEngineOptions& options);
-
-/// Memory-bounded entry point: runs `source` to exhaustion, recording each
-/// completion into `stats` (an internal default StreamingFlowStats when
-/// null) instead of a per-job completion vector.  Draws the same RNG stream
-/// as run_step_engine, so the returned extremes (max flow, max weighted
-/// flow, argmax, makespan) and EngineStats counters are bit-identical to a
-/// materialized run of the equivalent instance; see StreamRunResult for the
-/// exactness contract of the remaining fields.  Note the automatic step
-/// budget (max_steps == 0) grows incrementally with the jobs acquired so
-/// far — the final budget matches the materialized formula.
-core::StreamRunResult run_step_engine_streamed(
-    core::JobSource& source, const StepEngineOptions& options,
-    metrics::StreamingFlowStats* stats = nullptr);
+/// Runs `source` to exhaustion under steal-k-first work stealing,
+/// reporting each job's completion to `sink`, and returns the steal /
+/// admission counters.  Throws std::invalid_argument on invalid jobs
+/// (core::check_streamed_job) or options.  The automatic step budget
+/// (max_steps == 0) grows with the jobs acquired so far; once the source is
+/// drained it equals the whole-instance formula.
+core::EngineStats run_step_engine(core::JobSource& source,
+                                  const StepEngineOptions& options,
+                                  core::CompletionSink& sink);
 
 }  // namespace pjsched::sim

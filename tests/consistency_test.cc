@@ -22,7 +22,7 @@ TEST(ConsistencyTest, StepEngineStatsMatchTraceEvents) {
   opt.steal_k = 2;
   opt.seed = 5;
   opt.trace = &trace;
-  const auto res = sim::run_step_engine(inst, opt);
+  const auto res = testutil::run_step_engine(inst, opt);
 
   // Every steal attempt and admission recorded in the trace is also
   // counted in the stats, and vice versa.
@@ -43,7 +43,7 @@ TEST(ConsistencyTest, StepEngineWorkStepsMatchTraceDurations) {
   opt.machine = {3, 2.0};
   opt.seed = 7;
   opt.trace = &trace;
-  const auto res = sim::run_step_engine(inst, opt);
+  const auto res = testutil::run_step_engine(inst, opt);
   double traced_work = 0.0;
   for (const auto& iv : trace.intervals())
     traced_work += (iv.end - iv.start) * 2.0;  // speed 2

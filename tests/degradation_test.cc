@@ -30,7 +30,7 @@ core::ScheduleResult run_ws(const core::Instance& inst,
   opt.machine = machine;
   opt.steal_k = k;
   opt.seed = seed;
-  return sim::run_step_engine(inst, opt);
+  return testutil::run_step_engine(inst, opt);
 }
 
 TEST(EventEngineDegradationTest, ProcessorLossSerializesRemainingWork) {

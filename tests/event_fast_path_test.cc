@@ -4,8 +4,8 @@
 // stats counters, idle-time accounting, and coalesced traces must agree bit
 // for bit across FIFO, BWF, the arrival-ordered baselines, equipartition's
 // processor caps, degradation timelines, and zero-work / simultaneous-
-// completion edge cases.  Dynamic policies (SJF, round-robin) must fall
-// back to the reference loop in both modes.
+// completion edge cases.  Dynamic policies (SJF, round-robin) must always
+// run on the reference loop.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -112,10 +112,14 @@ TEST(EventFastPathTest, EquiProcessorCaps) {
 }
 
 TEST(EventFastPathTest, DynamicPoliciesKeepReferenceLoop) {
+  // SJF and round-robin have no fast path to select: two runs of the same
+  // scheduler must agree, and neither may take a fast decision.
   const auto inst = random_instance(21, 15, 30.0);
-  const auto sjf = check<sched::SjfScheduler>(inst, {4, 1.0});
+  sched::SjfScheduler sjf_a, sjf_b;
+  const auto sjf = expect_modes_identical(sjf_a, sjf_b, inst, {4, 1.0});
   EXPECT_EQ(sjf.stats.fast_decisions, 0u);
-  const auto rr = check<sched::RoundRobinScheduler>(inst, {4, 1.0});
+  sched::RoundRobinScheduler rr_a, rr_b;
+  const auto rr = expect_modes_identical(rr_a, rr_b, inst, {4, 1.0});
   EXPECT_EQ(rr.stats.fast_decisions, 0u);
 }
 
@@ -201,6 +205,8 @@ TEST(EventFastPathTest, ExactSuffixParsesAndMatches) {
     EXPECT_EQ(exact_spec.kind, spec.kind);
     const auto fast = core::run_scheduler(inst, spec, mc);
     const auto exact = core::run_scheduler(inst, exact_spec, mc);
+    EXPECT_EQ(fast.scheduler_name, core::make_scheduler(spec)->name());
+    EXPECT_EQ(exact.scheduler_name, core::make_scheduler(exact_spec)->name());
     EXPECT_EQ(fast.completion, exact.completion) << base;
     EXPECT_EQ(fast.max_flow, exact.max_flow) << base;
     EXPECT_EQ(exact.stats.fast_decisions, 0u) << base;
@@ -208,6 +214,9 @@ TEST(EventFastPathTest, ExactSuffixParsesAndMatches) {
   EXPECT_THROW(core::parse_scheduler("steal-4-first-exact"),
                std::invalid_argument);
   EXPECT_THROW(core::parse_scheduler("opt-exact"), std::invalid_argument);
+  EXPECT_THROW(core::parse_scheduler("sjf-exact"), std::invalid_argument);
+  EXPECT_THROW(core::parse_scheduler("round-robin-exact"),
+               std::invalid_argument);
 }
 
 }  // namespace

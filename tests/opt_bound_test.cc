@@ -39,12 +39,6 @@ TEST(OptBoundTest, IgnoresAlgorithmSpeedByDefault) {
   EXPECT_DOUBLE_EQ(opt.run(inst, {2, 2.0}).max_flow, 4.0);
 }
 
-TEST(OptBoundTest, SpeedScaledVariant) {
-  auto inst = make_instance({{0.0, dag::single_node(8)}});
-  sched::OptLowerBound opt(/*use_machine_speed=*/true);
-  EXPECT_DOUBLE_EQ(opt.run(inst, {2, 2.0}).max_flow, 2.0);
-}
-
 TEST(OptBoundTest, LowerBoundsEverySchedulerAtSpeedOne) {
   for (std::uint64_t seed : {3u, 4u, 5u}) {
     auto inst = testutil::random_instance(seed, 35, 50.0);
@@ -82,6 +76,31 @@ TEST(OptBoundTest, BacklogAccumulates) {
   // by 1 per job; last job's flow = 10*2 - 9 = 11.
   EXPECT_DOUBLE_EQ(res.completion[9], 20.0);
   EXPECT_DOUBLE_EQ(res.max_flow, 11.0);
+}
+
+// The streamed bound applies the engines' per-job checks: a source that
+// goes back in time is rejected, not folded into the frontier.
+TEST(OptBoundTest, StreamedRejectsOutOfOrderArrivals) {
+  class Backwards final : public core::JobSource {
+   public:
+    std::size_t size() const override { return 2; }
+
+   protected:
+    bool produce(core::StreamedJob& out) override {
+      if (next_ == 2) return false;
+      out.id = next_;
+      out.arrival = next_ == 0 ? 5.0 : 1.0;
+      out.graph = dag::single_node(1);
+      ++next_;
+      return true;
+    }
+
+   private:
+    core::JobId next_ = 0;
+  };
+  Backwards source;
+  sched::OptLowerBound opt;
+  EXPECT_THROW(opt.run_streamed(source, {2, 1.0}), std::invalid_argument);
 }
 
 TEST(OptBoundTest, ZeroProcessorsRejected) {

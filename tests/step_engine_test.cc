@@ -23,7 +23,7 @@ core::ScheduleResult run_ws(const core::Instance& inst, unsigned m,
   opt.steal_k = k;
   opt.seed = seed;
   opt.trace = trace;
-  return sim::run_step_engine(inst, opt);
+  return testutil::run_step_engine(inst, opt);
 }
 
 TEST(StepEngineTest, SingleWorkerSequentialExact) {
@@ -152,9 +152,9 @@ TEST(StepEngineTest, InvalidArgumentsRejected) {
   auto inst = make_instance({{0.0, dag::single_node(1)}});
   sim::StepEngineOptions opt;
   opt.machine = {0, 1.0};
-  EXPECT_THROW(sim::run_step_engine(inst, opt), std::invalid_argument);
+  EXPECT_THROW(testutil::run_step_engine(inst, opt), std::invalid_argument);
   opt.machine = {1, 0.0};
-  EXPECT_THROW(sim::run_step_engine(inst, opt), std::invalid_argument);
+  EXPECT_THROW(testutil::run_step_engine(inst, opt), std::invalid_argument);
 }
 
 TEST(StepEngineTest, WeightedAdmissionPicksHeaviestEarliest) {
@@ -173,7 +173,7 @@ TEST(StepEngineTest, WeightedAdmissionPicksHeaviestEarliest) {
   opt.admit_by_weight = true;
   sim::Trace trace;
   opt.trace = &trace;
-  const auto res = sim::run_step_engine(inst, opt);
+  const auto res = testutil::run_step_engine(inst, opt);
   ASSERT_EQ(trace.admissions().size(), 4u);
   EXPECT_EQ(trace.admissions()[0].job, 0u);
   EXPECT_EQ(trace.admissions()[1].job, 2u);
@@ -188,7 +188,7 @@ TEST(StepEngineTest, StepBudgetGuardFires) {
   sim::StepEngineOptions opt;
   opt.machine = {1, 1.0};
   opt.max_steps = 10;  // far too few
-  EXPECT_THROW(sim::run_step_engine(inst, opt), std::logic_error);
+  EXPECT_THROW(testutil::run_step_engine(inst, opt), std::logic_error);
 }
 
 }  // namespace

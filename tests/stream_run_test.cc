@@ -21,6 +21,7 @@
 #include "src/workload/distributions.h"
 #include "src/workload/generator.h"
 #include "src/workload/streaming_source.h"
+#include "tests/test_util.h"
 
 namespace pjsched {
 namespace {
@@ -111,7 +112,7 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, StreamRunCrossCheck,
                          ::testing::Values("fifo", "fifo-exact", "bwf",
                                            "lifo", "sjf", "round-robin",
                                            "equi", "admit-first",
-                                           "steal-16-first"),
+                                           "steal-16-first", "opt"),
                          [](const auto& info) {
                            std::string n = info.param;
                            std::replace(n.begin(), n.end(), '-', '_');
@@ -145,7 +146,6 @@ TEST(StreamRunTest, StreamedFastMatchesStreamedExact) {
 TEST(StreamRunTest, StreamedTraceMatchesMaterialized) {
   class ArrivalPolicy final : public sim::OrderPolicy {
    public:
-    std::string name() const override { return "fifo"; }
     void order(const sim::PolicyContext& ctx,
                std::vector<core::JobId>& active) override {
       std::stable_sort(active.begin(), active.end(),
@@ -169,7 +169,7 @@ TEST(StreamRunTest, StreamedTraceMatchesMaterialized) {
   sim::EventEngineOptions mat_opt;
   mat_opt.machine = machine16();
   mat_opt.trace = &mat_trace;
-  const auto mat = sim::run_event_engine(inst, mat_policy, mat_opt);
+  const auto mat = testutil::run_event_engine(inst, mat_policy, mat_opt);
 
   sim::Trace str_trace;
   ArrivalPolicy str_policy;
@@ -177,8 +177,11 @@ TEST(StreamRunTest, StreamedTraceMatchesMaterialized) {
   str_opt.machine = machine16();
   str_opt.trace = &str_trace;
   workload::GeneratedJobSource source(dist, cfg);
-  const auto str =
-      sim::run_event_engine_streamed(source, str_policy, str_opt);
+  const auto str = core::collect_stream(
+      source, "fifo",
+      [&](core::JobSource& src, core::CompletionSink& sink) {
+        return sim::run_event_engine(src, str_policy, str_opt, sink);
+      });
   EXPECT_EQ(str.max_flow, mat.max_flow);
 
   const auto& a = mat_trace.intervals();
@@ -271,16 +274,6 @@ TEST(StreamRunTest, CallerProvidedStatsSink) {
   EXPECT_EQ(res.max_flow, stats.max_flow());
   EXPECT_EQ(res.max_weighted_flow, stats.max_weighted_flow());
   EXPECT_EQ(res.argmax_flow, stats.argmax_flow());
-}
-
-// The OPT lower bound has no engine and no streamed path: documented throw.
-TEST(StreamRunTest, OptBoundHasNoStreamedPath) {
-  const auto dist = workload::bing_distribution();
-  const workload::GeneratorConfig cfg = base_config(10);
-  workload::GeneratedJobSource source(dist, cfg);
-  EXPECT_THROW(run_scheduler_streamed(source, core::parse_scheduler("opt"),
-                                      machine16()),
-               std::logic_error);
 }
 
 }  // namespace

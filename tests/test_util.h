@@ -6,9 +6,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/job_source.h"
 #include "src/core/types.h"
 #include "src/dag/builders.h"
 #include "src/dag/dag.h"
+#include "src/sim/event_engine.h"
+#include "src/sim/step_engine.h"
 
 namespace pjsched::testutil {
 
@@ -59,6 +62,29 @@ inline core::Instance random_instance(std::uint64_t seed, std::size_t num_jobs,
     inst.jobs.push_back(std::move(spec));
   }
   return inst;
+}
+
+/// Runs the step engine over a materialized instance and collects the
+/// per-job result (core::collect_schedule), for tests that drive engine
+/// options the schedulers do not expose.
+inline core::ScheduleResult run_step_engine(
+    const core::Instance& inst, const sim::StepEngineOptions& opt) {
+  return core::collect_schedule(
+      inst, "step-engine",
+      [&opt](core::JobSource& source, core::CompletionSink& sink) {
+        return sim::run_step_engine(source, opt, sink);
+      });
+}
+
+/// The event-engine counterpart of run_step_engine, for custom policies.
+inline core::ScheduleResult run_event_engine(
+    const core::Instance& inst, sim::OrderPolicy& policy,
+    const sim::EventEngineOptions& opt) {
+  return core::collect_schedule(
+      inst, "event-engine",
+      [&policy, &opt](core::JobSource& source, core::CompletionSink& sink) {
+        return sim::run_event_engine(source, policy, opt, sink);
+      });
 }
 
 }  // namespace pjsched::testutil

@@ -180,33 +180,6 @@ PushOutcome Daemon::submit_record(JobRecord record) {
   return out;
 }
 
-bool Daemon::feed_line(std::string_view line) {
-  JobRecord record;
-  std::string error;
-  switch (parse_record(line, &record, &error)) {
-    case ParseStatus::kEmpty:
-      return true;
-    case ParseStatus::kCommand: {
-      // In-process feeds have no reply channel; count and move on.
-      runtime::MutexLock lock(state_mu_);
-      ++feed_.commands;
-      return true;
-    }
-    case ParseStatus::kMalformed:
-    case ParseStatus::kOversize:  // parse_record folds this into kMalformed
-      quarantine_line(line, error);
-      return false;
-    case ParseStatus::kRecord:
-      break;
-  }
-  {
-    runtime::MutexLock lock(state_mu_);
-    ++feed_.records;
-  }
-  submit_record(std::move(record));
-  return true;
-}
-
 std::size_t Daemon::feed_replay_file(const std::string& path,
                                      const std::string& tenant,
                                      double time_scale) {
@@ -297,13 +270,13 @@ void Daemon::dispatcher_main() {
 
 void Daemon::maintenance_main() {
   std::vector<ShedRecord> evictions;
+  std::uint64_t last_dumps = 0;
   while (!stop_.load(std::memory_order_acquire)) {
     // Watchdog signal: any new stall dump since the last tick counts as a
     // stalled sample (the pool's watchdog defines "no progress").
     const std::uint64_t dumps = pool_.stats().watchdog_dumps;
-    const bool stalled =
-        dumps > last_watchdog_dumps_.load(std::memory_order_relaxed);
-    last_watchdog_dumps_.store(dumps, std::memory_order_relaxed);
+    const bool stalled = dumps > last_dumps;
+    last_dumps = dumps;
 
     evictions.clear();
     router_.tick(stalled, &evictions);

@@ -44,6 +44,7 @@
 
 #include "src/metrics/streaming_stats.h"
 #include "src/runtime/annotations.h"
+#include "src/runtime/interference.h"
 #include "src/runtime/mutex.h"
 #include "src/runtime/thread_pool.h"
 #include "src/service/record.h"
@@ -170,10 +171,6 @@ class Daemon {
   /// router's decision for the *pushed* record.
   PushOutcome submit_record(JobRecord record);
 
-  /// Parses and routes one feed line (no trailing newline).  Returns false
-  /// when the line was malformed (quarantined, counted, never fatal).
-  bool feed_line(std::string_view line);
-
   /// Replay-file feed: loads a workload instance (runtime/replayer.*
   /// loader, so truncated/corrupt files surface as ReplayFileError) and
   /// submits each job as a record for `tenant`, pacing arrivals by
@@ -224,7 +221,7 @@ class Daemon {
   /// One io event loop.  Loop-local state (connections, pollfds, parse and
   /// admission scratch) lives on the shard thread's stack; only the accept
   /// handoff is shared, under `mu`.
-  struct IoShard {
+  struct alignas(runtime::kDestructiveInterference) IoShard {
     runtime::Mutex mu;
     std::vector<int> incoming PJSCHED_GUARDED_BY(mu);  ///< accepted fds
                                                        ///< awaiting adoption
@@ -293,7 +290,6 @@ class Daemon {
   runtime::CondVar work_cv_;
 
   std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> last_watchdog_dumps_{0};
   /// Open connections across all io shards (max_connections gate).
   std::atomic<std::size_t> open_conns_{0};
 

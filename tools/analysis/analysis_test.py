@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Tests for pjsched_analysis: every rule of the four passes has pass and
-fail fixtures in testdata/, staged into a temporary repo layout (the
-lock/blocking rules look at anything under src/, the determinism rules at
-src/sim + src/sched), plus gate tests that run the analyzer over the real
-tree with the committed golden lock-order graph — the same invocation the
+"""Tests for pjsched_analysis: every rule of every pass has pass and fail
+fixtures in testdata/, staged into a temporary repo layout (rules are
+path-scoped: the memory-order, interference and lock/blocking rules look
+at anything under src/, std-function at src/runtime, the determinism
+rules at src/sim + src/sched plus the all-src entropy entries), plus a
+gate test that runs the analyzer over the real tree with the committed
+golden lock-order graph and the file floor — the same invocation the
 `lint` CMake target and CI use."""
 
 import json
@@ -209,7 +211,25 @@ class FixtureCase(unittest.TestCase):
         self.assert_rule_fires("determinism", "entropy-source")
 
     def test_entropy_rng_exempt(self):
+        # The one sanctioned randomness source is exempt by path.
         self.stage("entropy_fail.cc", "src/sim", rename="rng.cc")
+        self.stage("nondeterminism_fail.cc", "src/sim", rename="rng.h")
+        self.assert_clean("determinism")
+
+    def test_nondeterminism_fail(self):
+        # Wall-clock and C-library randomness are banned in all of src/.
+        self.stage("nondeterminism_fail.cc", "src/util")
+        self.assert_rule_fires("determinism", "entropy-source",
+                               min_findings=3)
+
+    def test_nondeterminism_pass(self):
+        self.stage("nondeterminism_pass.cc", "src/util")
+        self.assert_clean("determinism")
+
+    def test_entropy_engine_scope_is_results_only(self):
+        # Engines and thread ids are entropy only where results are
+        # computed; the runtime may use them, e.g. to pick a shard.
+        self.stage("entropy_fail.cc", "src/runtime")
         self.assert_clean("determinism")
 
     def _write_compile_commands(self, flag):
@@ -231,10 +251,65 @@ class FixtureCase(unittest.TestCase):
         cc = self._write_compile_commands("-ffp-contract=off")
         self.assert_clean("determinism", extra=("--compile-commands", cc))
 
+    # memory-order ---------------------------------------------------------
+    def test_implicit_order_fail(self):
+        # load, store, fetch_add without orders + single-order CAS = 4.
+        self.stage("implicit_order_fail.h", "src/runtime")
+        self.assert_rule_fires("memory-order", "implicit-seq-cst",
+                               min_findings=4)
+
+    def test_implicit_order_pass(self):
+        self.stage("implicit_order_pass.h", "src/runtime")
+        self.assert_clean("memory-order")
+
+    def test_memory_order_covers_all_src(self):
+        self.stage("implicit_order_fail.h", "src/service")
+        self.assert_rule_fires("memory-order", "implicit-seq-cst",
+                               min_findings=4)
+
+    def test_relaxed_fail(self):
+        self.stage("relaxed_fail.h", "src/runtime")
+        self.assert_rule_fires("memory-order", "unjustified-relaxed")
+
+    def test_relaxed_pass(self):
+        self.stage("relaxed_pass.h", "src/runtime")
+        self.assert_clean("memory-order")
+
+    def test_atomic_operator_fail(self):
+        self.stage("atomic_operator_fail.h", "src/runtime")
+        self.assert_rule_fires("memory-order", "atomic-operator",
+                               min_findings=2)
+
+    # std-function ---------------------------------------------------------
+    def test_std_function_fail(self):
+        self.stage("std_function_fail.h", "src/runtime")
+        self.assert_rule_fires("std-function", "std-function")
+
+    def test_std_function_pass(self):
+        self.stage("std_function_pass.h", "src/runtime")
+        self.assert_clean("std-function")
+
+    def test_std_function_scoped_to_runtime(self):
+        # A hot-path rule: type erasure outside src/runtime/ is fine.
+        self.stage("std_function_fail.h", "src/service")
+        self.assert_clean("std-function")
+
+    # interference ---------------------------------------------------------
+    def test_interference_fail(self):
+        self.stage("interference_fail.h", "src/runtime")
+        self.assert_rule_fires("interference", "interference")
+
+    def test_interference_pass(self):
+        self.stage("interference_pass.h", "src/runtime")
+        self.assert_clean("interference")
+
     # discovery ------------------------------------------------------------
     def test_build_dirs_excluded(self):
+        # A violating file under any build*/ component is never analyzed.
         self.stage("lock_cycle_fail.h", "src/runtime/build-scratch")
-        self.assert_clean("lock-order")
+        self.stage("implicit_order_fail.h", "src/runtime/build-scratch")
+        self.stage("implicit_order_pass.h", "src/runtime")
+        self.assert_clean("all")
 
     def test_stale_compile_commands(self):
         tu = self.stage("determinism_pass.cc", "src/sim",
@@ -251,8 +326,8 @@ class FixtureCase(unittest.TestCase):
 
 
 class GateCase(unittest.TestCase):
-    """The real tree must be clean and match the committed golden graph —
-    the same check the lint target and CI run."""
+    """The real tree must be clean over every pass, match the committed
+    golden graph and clear the file floor — the lint target's check."""
 
     def _args(self):
         args = ["--root", REPO_ROOT]
@@ -262,23 +337,24 @@ class GateCase(unittest.TestCase):
             args += ["--compile-commands", compile_commands]
         return args
 
-    def test_repo_is_clean_all_passes(self):
-        code, out, err = run_analysis(self._args())
-        self.assertEqual(
-            code, 0,
-            f"pjsched_analysis found violations in the tree:\n{out}\n{err}")
-
-    def test_committed_dot_matches_extraction(self):
+    def test_repo_is_clean(self):
         golden = os.path.join(REPO_ROOT, "docs", "lock-order.dot")
         self.assertTrue(os.path.isfile(golden),
                         "docs/lock-order.dot missing — run "
                         "tools/analysis/regen_lock_order.sh")
         code, out, err = run_analysis(
-            self._args() + ["--pass", "lock-order", "--check-dot", golden])
+            self._args() + ["--check-dot", golden, "--min-files", "60"])
         self.assertEqual(
             code, 0,
-            "docs/lock-order.dot drifted from the code — run "
-            f"tools/analysis/regen_lock_order.sh:\n{out}\n{err}")
+            "pjsched_analysis found violations in the tree (a "
+            "[lock-order-dot] finding means docs/lock-order.dot drifted — "
+            f"run tools/analysis/regen_lock_order.sh):\n{out}\n{err}")
+
+    def test_file_floor_above_tree_fails(self):
+        code, out, err = run_analysis(
+            self._args() + ["--min-files", "1000000"])
+        self.assertEqual(code, 1, out + err)
+        self.assertIn("--min-files 1000000", err)
 
 
 class LibclangEngineCase(unittest.TestCase):
@@ -295,14 +371,14 @@ class LibclangEngineCase(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             dst_dir = os.path.join(tmp, "src", "runtime")
             os.makedirs(dst_dir)
-            for fixture in ("lock_cycle_fail.h", "blocking_fail.cc"):
+            for fixture in ("lock_cycle_fail.h", "blocking_fail.cc",
+                            "implicit_order_fail.h"):
                 shutil.copy(os.path.join(TESTDATA, fixture),
                             os.path.join(dst_dir, fixture))
             results = {}
             for engine in ("libclang", "regex"):
                 code, out, _ = run_analysis(
-                    ["--root", tmp, "--engine", engine,
-                     "--pass", "lock-order"])
+                    ["--root", tmp, "--engine", engine])
                 results[engine] = (code, sorted(
                     l.split(": ", 1)[0] for l in out.splitlines()
                     if ": [" in l))

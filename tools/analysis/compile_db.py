@@ -2,9 +2,9 @@
 """Shared compile_commands.json loader for the repo's static-analysis tools.
 
 One implementation of file discovery, build-dir exclusion, compile-arg
-extraction, and stale-export detection, imported by tools/lint/
-pjsched_lint.py and every pass under tools/analysis/ — previously each tool
-re-implemented discovery and they could disagree on what "the tree" is.
+extraction, and stale-export detection, imported by the pjsched_analysis
+driver and every pass under tools/analysis/, so they all agree on what
+"the tree" is.
 
 Conventions shared by every consumer:
 
@@ -19,8 +19,8 @@ Conventions shared by every consumer:
     instead of silently analyzing a phantom tree.
 
 Also home to the comment/string stripper and marker-window helpers every
-rule engine uses, so "does this line carry a ``// lint: allow(...)``"
-means the same thing in every tool.
+pass uses, so "does this line carry a ``// lint: allow(...)``" means the
+same thing in every rule.
 """
 
 from __future__ import annotations

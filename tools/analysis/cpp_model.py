@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """A lightweight whole-program C++ model for the concurrency passes.
 
-Parses the tree the same way pjsched_lint does (comment-aware text over
-compile_commands-discovered files — see compile_db.py) but goes one level
-deeper: brace-matched namespace/class/function scopes, a registry of
-classes with their members and mutex fields, per-function lock-acquisition
-events with scope extents, receiver-resolved call sites, and fixpoint
-"may acquire"/"may block" summaries for interprocedural edges.
+Holds every compile_commands-discovered file (see compile_db.py) as
+comment- and string-stripped text, which the per-file rule passes read
+directly, and goes one level deeper for the whole-program passes:
+brace-matched namespace/class/function scopes, a registry of classes with
+their members and mutex fields, per-function lock-acquisition events with
+scope extents, receiver-resolved call sites, and fixpoint "may acquire"/
+"may block" summaries for interprocedural edges.
 
 The model is deliberately conservative where C++ is undecidable from text:
 

@@ -17,9 +17,13 @@ quietly break that contract; each gets a rule:
                      code — iteration order varies across libstdc++
                      versions and hash seeds; results folded in that order
                      are not reproducible
-  entropy-source     randomness or wall-clock entropy outside sim/rng.h —
-                     all sim randomness flows through the seeded Rng so a
-                     run is its seed
+  entropy-source     randomness or wall-clock entropy outside sim/rng.* —
+                     all randomness flows through the seeded Rng so a run
+                     is its seed, all runtime timing from the monotonic
+                     steady_clock.  Each ENTROPY entry names its scope:
+                     wall-clock and C-library randomness are banned in all
+                     of src/, seeded engines and thread identity only in
+                     src/sim + src/sched, where results are computed
 
 Sites with a ``// lint: allow(<rule>): <reason>`` marker within
 ALLOW_WINDOW lines are skipped.
@@ -88,12 +92,28 @@ UNORDERED_DECL = re.compile(
 
 RANGE_FOR = re.compile(r"\bfor\s*\(\s*[^;)]*?:\s*([^)]+)\)")
 
-ENTROPY = re.compile(
-    r"\bstd::(?:random_device|mt19937(?:_64)?|default_random_engine|"
-    r"minstd_rand0?|knuth_b)\b"
-    r"|\bsystem_clock\s*::\s*now\b"
-    r"|\bthis_thread::get_id\b"
-    r"|\bhash\s*<\s*std::thread::id\s*>")
+ALL_SRC = ("src/",)
+#: Where results are computed.  Outside it a thread id may legitimately
+#: pick a shard (runtime/flow_recorder.cc).
+RESULTS = ("src/sim/", "src/sched/")
+
+#: (pattern, description, scope prefixes).
+ENTROPY = [
+    (re.compile(r"\brand\s*\("), "rand()", ALL_SRC),
+    (re.compile(r"\bsrand\s*\("), "srand()", ALL_SRC),
+    (re.compile(r"\bdrand48\b"), "drand48", ALL_SRC),
+    (re.compile(r"\brandom_device\b"), "std::random_device", ALL_SRC),
+    (re.compile(r"\bsystem_clock\b"), "system_clock (wall clock)", ALL_SRC),
+    (re.compile(r"\bgettimeofday\b"), "gettimeofday (wall clock)", ALL_SRC),
+    (re.compile(r"\blocaltime\b|\bgmtime\b"), "calendar time", ALL_SRC),
+    (re.compile(r"(?<![\w:])time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"),
+     "time() (wall clock)", ALL_SRC),
+    (re.compile(r"\bstd::(?:mt19937(?:_64)?|default_random_engine|"
+                r"minstd_rand0?|knuth_b)\b"),
+     "a random engine seeded outside sim::Rng", RESULTS),
+    (re.compile(r"\bthis_thread::get_id\b|\bhash\s*<\s*std::thread::id\s*>"),
+     "thread identity", RESULTS),
+]
 
 RNG_HOME = ("src/sim/rng.h", "src/sim/rng.cc")
 
@@ -187,18 +207,21 @@ def _check_unordered_iteration(model, raw_texts):
 def _check_entropy(model, raw_texts):
     findings = []
     for rel in sorted(model.file_code):
-        if not (rel.startswith("src/sim/") or rel.startswith("src/sched/")):
-            continue
         if rel in RNG_HOME:
             continue
         code = model.file_code[rel]
-        for m in ENTROPY.finditer(code):
-            line = code.count("\n", 0, m.start()) + 1
-            if _allowed(raw_texts, rel, line, "entropy-source"):
+        for pat, what, scope in ENTROPY:
+            if not rel.startswith(scope):
                 continue
-            findings.append(Finding(
-                rel, line, "entropy-source",
-                f"`{m.group(0)}` introduces entropy outside "
-                "src/sim/rng.h — sim results must be a pure function of "
-                "the seed; thread all randomness through sim::Rng"))
+            for m in pat.finditer(code):
+                line = code.count("\n", 0, m.start()) + 1
+                if _allowed(raw_texts, rel, line, "entropy-source"):
+                    continue
+                findings.append(Finding(
+                    rel, line, "entropy-source",
+                    f"{what} (`{m.group(0)}`) introduces entropy outside "
+                    "src/sim/rng.* — results must be a pure function of "
+                    "the seed; draw from the seeded sim::Rng, time with "
+                    "steady_clock, or add `// lint: allow(entropy-source): "
+                    "<reason>`"))
     return findings

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""pjsched_analysis — whole-program concurrency & determinism analyzer.
+"""pjsched_analysis — the repo's concurrency & determinism analyzer.
 
-Four CI-gating passes over the tree described by compile_commands.json
+Seven CI-gating passes over the tree described by compile_commands.json
 (see docs/static-analysis.md for the rules and policy):
 
   lock-order     acquired-while-held graph: cycles, documented-hierarchy
@@ -11,27 +11,31 @@ Four CI-gating passes over the tree described by compile_commands.json
   annotations    every mutex wrapped+annotated, multi-writer fields
                  GUARDED_BY
   determinism    -ffp-contract=off on sim TUs, one-program-point FP
-                 formulas, no unordered iteration or stray entropy in
-                 sim/sched results
+                 formulas, no unordered iteration in sim/sched results, no
+                 stray entropy in src/
+  memory-order   explicit, justified atomic memory orders
+  std-function   InlineFn, not std::function, in src/runtime/
+  interference   shared per-worker/per-shard structs cache-line aligned
 
-Engines, same architecture as tools/lint/pjsched_lint.py: with the python
-libclang bindings importable, comments and string literals are blanked by
-exact token extents; otherwise a comment-aware regex stripper does the
-same job.  Both feed the identical textual model (tools/analysis/
-cpp_model.py), so findings do not depend on the engine — only stripping
-precision does.
+Engines: with the python libclang bindings importable, comments and string
+literals are blanked by exact token extents; otherwise a comment-aware
+regex stripper does the same job.  Both feed the identical textual model
+(tools/analysis/cpp_model.py), so findings do not depend on the engine —
+only stripping precision does.
 
 Usage:
   pjsched_analysis.py [--root R] [--compile-commands CC]
                       [--pass all|lock-order|blocking|annotations|
-                       determinism]
+                       determinism|memory-order|std-function|interference]
                       [--hierarchy PATH] [--dot-out PATH]
                       [--check-dot PATH] [--engine auto|libclang|regex]
-                      [files...]
+                      [--min-files N] [files...]
 
 Positional files restrict *reported* findings to those paths (the model
-is still whole-program — an edge needs both sides).  Exit codes: 0 clean,
-1 findings, 2 usage error or stale compile_commands.json.
+is still whole-program — an edge needs both sides).  --min-files fails
+the run when discovery found fewer files, so a misconfigured root or
+export cannot pass vacuously.  Exit codes: 0 clean, 1 findings or too few
+files, 2 usage error or stale compile_commands.json.
 """
 
 from __future__ import annotations
@@ -44,13 +48,15 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import annotations_audit
 import blocking_under_lock
+import conventions
 import determinism_audit
 import lock_order
 from compile_db import (StaleCompileCommandsError, discover_files,
                         compile_args_for)
 from cpp_model import Model
 
-PASSES = ("lock-order", "blocking", "annotations", "determinism")
+PASSES = ("lock-order", "blocking", "annotations", "determinism",
+          "memory-order", "std-function", "interference")
 
 
 def resolve_engine(requested: str) -> str:
@@ -124,7 +130,7 @@ def read_raw(root, files):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="pjsched_analysis.py",
-        description="whole-program concurrency & determinism analyzer")
+        description="concurrency & determinism analyzer")
     ap.add_argument("--root", default=os.getcwd())
     ap.add_argument("--compile-commands", default=None,
                     help="path to compile_commands.json (default: "
@@ -143,6 +149,9 @@ def main(argv=None) -> int:
                     "extracted graph byte-for-byte")
     ap.add_argument("--engine", default="auto",
                     choices=("auto", "libclang", "regex"))
+    ap.add_argument("--min-files", type=int, default=0,
+                    help="fail when fewer files were discovered (guards "
+                    "against a vacuous pass over an empty discovery)")
     ap.add_argument("files", nargs="*",
                     help="restrict reported findings to these paths")
     args = ap.parse_args(argv)
@@ -166,6 +175,12 @@ def main(argv=None) -> int:
     except StaleCompileCommandsError as exc:
         sys.stderr.write(f"pjsched_analysis: {exc}\n")
         return 2
+    if len(files) < args.min_files:
+        sys.stderr.write(
+            f"pjsched_analysis: only {len(files)} file(s) discovered "
+            f"(< --min-files {args.min_files}) — discovery is broken, a "
+            "clean result would be vacuous\n")
+        return 1
 
     model = build_model(root, files, engine, cc)
     raw_texts = read_raw(root, files)
@@ -203,6 +218,12 @@ def main(argv=None) -> int:
         findings += annotations_audit.run(model, raw_texts)
     if "determinism" in selected:
         findings += determinism_audit.run(model, raw_texts, cc, root)
+    if "memory-order" in selected:
+        findings += conventions.run_memory_order(model, raw_texts)
+    if "std-function" in selected:
+        findings += conventions.run_std_function(model, raw_texts)
+    if "interference" in selected:
+        findings += conventions.run_interference(model, raw_texts)
 
     if args.files:
         wanted = {os.path.relpath(os.path.abspath(f), root)

@@ -313,10 +313,12 @@ constexpr std::size_t kScalingProcessors = 16;
 // Hard per-job allocation ceiling for streamed runs.  A steady-state leak —
 // any allocation per decision slice — would blow past this within one
 // decade (the engines take ~35 slices/job on this workload).  Measured
-// RelWithDebInfo baseline is ~32-34 allocs/job, flat across decades (DAG
-// construction + arena map churn); the ceiling leaves room for
-// allocator/libstdc++ variance without letting O(slices) growth through.
-constexpr double kScalingAllocBudgetPerJob = 64.0;
+// RelWithDebInfo baseline, flat across decades: ~7.0 allocs/job (event
+// engine), ~7.5 (step engine), 6.0 (bounds) — the six sealed arrays of the
+// directly built parallel-for DAG plus arena map churn.  The ceiling leaves
+// room for allocator/libstdc++ variance without letting O(slices) growth
+// through.
+constexpr double kScalingAllocBudgetPerJob = 16.0;
 
 workload::GeneratorConfig scaling_config(std::size_t jobs) {
   workload::GeneratorConfig cfg;

@@ -6,6 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "src/dag/dag.h"
 #include "src/sim/rng.h"
@@ -27,23 +30,24 @@ Dag parallel_for_dag(std::size_t grains, Work body_work, Work root_work = 1,
                      Work join_work = 1);
 
 /// Like parallel_for_dag but with per-grain work supplied by the caller via
-/// a callback (grain index -> work units); used to build skewed loops.
+/// a callback (grain index -> work units, called once per grain in index
+/// order); used to build skewed loops.  Node 0 is the root, nodes 1..grains
+/// the grains, node grains+1 the join.  The sealed arrays are written in
+/// closed form (detail::seal_parallel_for), so a job costs six allocations
+/// rather than the general add_node / add_edge / seal() path's ~31; the
+/// result is identical, and a zero-work node or more than kInvalidNode
+/// nodes throws what add_node would.  grains == 0 gives two unconnected
+/// nodes.
 template <typename F>
 Dag parallel_for_dag_fn(std::size_t grains, F&& body_work_of,
                         Work root_work = 1, Work join_work = 1) {
-  Dag d;
-  const NodeId root = d.add_node(root_work);
-  std::vector<NodeId> bodies;
-  bodies.reserve(grains);
-  for (std::size_t g = 0; g < grains; ++g)
-    bodies.push_back(d.add_node(body_work_of(g)));
-  const NodeId join = d.add_node(join_work);
-  for (NodeId b : bodies) {
-    d.add_edge(root, b);
-    d.add_edge(b, join);
-  }
-  d.seal();
-  return d;
+  if (grains > std::size_t{kInvalidNode} - 2)
+    throw std::length_error("parallel_for_dag_fn: too many nodes");
+  std::vector<Work> work(grains + 2);
+  work[0] = root_work;
+  for (std::size_t g = 0; g < grains; ++g) work[g + 1] = body_work_of(g);
+  work[grains + 1] = join_work;
+  return detail::seal_parallel_for(std::move(work));
 }
 
 /// Balanced binary fork-join (divide-and-conquer) tree of the given depth:

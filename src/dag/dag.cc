@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace pjsched::dag {
 
@@ -87,6 +88,57 @@ void Dag::seal() {
   if (processed != n) throw std::invalid_argument("Dag::seal: graph has a cycle");
   sealed_ = true;
 }
+
+namespace detail {
+
+Dag seal_parallel_for(std::vector<Work> work) {
+  const std::size_t n = work.size();
+  const auto g = static_cast<NodeId>(n - 2);  // grains are nodes 1..g
+  Dag d;
+  Work widest_grain = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (work[v] == 0)
+      throw std::invalid_argument("parallel_for_dag: zero-work nodes are not allowed");
+    d.total_work_ += work[v];
+    if (v >= 1 && v <= g) widest_grain = std::max(widest_grain, work[v]);
+  }
+
+  // The CSR seal() builds from the sorted edge list (0,1)..(0,g),
+  // (1,g+1)..(g,g+1): the root's successors are the grains, each grain's
+  // successor is the join, and the join's predecessors are the grains in
+  // order.
+  d.edge_count_ = 2 * std::size_t{g};
+  d.succ_off_.resize(n + 1);
+  d.pred_off_.resize(n + 1);
+  d.succ_flat_.resize(d.edge_count_);
+  d.pred_flat_.resize(d.edge_count_);
+  d.succ_off_[1] = g;  // root: g successors, no predecessors
+  for (NodeId v = 1; v <= g; ++v) {
+    d.succ_flat_[v - 1] = v;          // root -> grain v
+    d.succ_flat_[g + v - 1] = g + 1;  // grain v -> join
+    d.pred_flat_[v - 1] = 0;          // grain v <- root
+    d.pred_flat_[g + v - 1] = v;      // join <- grain v
+    d.succ_off_[v + 1] = g + v;
+    d.pred_off_[v + 1] = v;
+  }
+  d.succ_off_[g + 2] = 2 * g;  // join: g predecessors, no successors
+  d.pred_off_[g + 2] = 2 * g;
+
+  const Work root = work[0];
+  const Work join = work[g + 1];
+  if (g == 0) {
+    d.sources_ = {0, 1};
+    d.critical_path_ = std::max(root, join);
+  } else {
+    d.sources_ = {0};
+    d.critical_path_ = root + widest_grain + join;
+  }
+  d.work_ = std::move(work);
+  d.sealed_ = true;
+  return d;
+}
+
+}  // namespace detail
 
 std::span<const NodeId> Dag::successors(NodeId v) const {
   return {succ_flat_.data() + succ_off_[v], succ_off_[v + 1] - succ_off_[v]};

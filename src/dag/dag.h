@@ -31,12 +31,27 @@ using Work = std::uint64_t;
 
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 
+class Dag;
+
+namespace detail {
+/// Seals the parallel-for DAG whose node works are `work` = {root,
+/// grain_1, ..., grain_g, join}, writing the CSR arrays in closed form
+/// instead of via add_node / add_edge / seal().  The result is array for
+/// array what seal() builds for the same nodes and edges.  Requires
+/// 2 <= work.size() <= kInvalidNode; throws std::invalid_argument on a
+/// zero-work node, as add_node does.  Use dag::parallel_for_dag_fn
+/// (builders.h), which checks the size, rather than calling this.
+Dag seal_parallel_for(std::vector<Work> work);
+}  // namespace detail
+
 /// Immutable-after-construction DAG of sequential tasks.
 ///
 /// Build with add_node / add_edge, then call seal().  seal() validates the
 /// graph (acyclicity, edge sanity) and freezes it; the scheduling engines
-/// require a sealed DAG.  All query methods are safe on a sealed DAG and
-/// never mutate, so one Dag can back many concurrent simulations.
+/// require a sealed DAG.  The parallel-for builders skip that general path
+/// and produce the same sealed arrays directly (detail::seal_parallel_for).
+/// All query methods are safe on a sealed DAG and never mutate, so one Dag
+/// can back many concurrent simulations.
 class Dag {
  public:
   Dag() = default;
@@ -89,9 +104,11 @@ class Dag {
   // The arena's packed slot layout copies the CSR arrays wholesale instead
   // of re-deriving them through the per-node query API.
   friend class sim::PackedDag;
+  friend Dag detail::seal_parallel_for(std::vector<Work> work);
 
   std::vector<Work> work_;
-  // CSR adjacency, filled by seal() from the edge list.
+  // CSR adjacency, filled by seal() from the edge list, or directly in
+  // closed form by detail::seal_parallel_for.
   std::vector<NodeId> succ_flat_, pred_flat_;
   std::vector<std::uint32_t> succ_off_, pred_off_;
   std::vector<std::pair<NodeId, NodeId>> pending_edges_;

@@ -168,7 +168,10 @@ class Job {
     return pending_.load(std::memory_order_relaxed);
   }
 
-  /// Returns true if this decrement completed the job.
+  /// Returns true if this decrement completed the job.  The last decrement
+  /// stamps the completion time and outcome but does not wake waiters: the
+  /// caller records the job first, then calls mark_finished(), so a woken
+  /// wait() always sees the job in the pool's recorder.
   bool finish_one() {
     // order: acq_rel — release publishes this task's effects to whoever
     // performs the final decrement; acquire makes the final decrement
@@ -183,17 +186,22 @@ class Job {
       outcome_.compare_exchange_strong(expected, JobOutcome::kCompleted,
                                        std::memory_order_acq_rel,
                                        std::memory_order_acquire);
-      {
-        // The locked store pairs with wait()'s locked predicate loop: the
-        // notify below cannot slip between a waiter's predicate check and
-        // its block, so wakeups are never missed.
-        MutexLock lock(mu_);
-        finished_.store(true, std::memory_order_release);
-      }
-      cv_.notify_all();
       return true;
     }
     return false;
+  }
+
+  /// Publishes the terminal state and wakes every caller blocked in wait().
+  /// Called once, after the finish_one() that returned true.
+  void mark_finished() {
+    {
+      // The locked store pairs with wait()'s locked predicate loop: the
+      // notify below cannot slip between a waiter's predicate check and
+      // its block, so wakeups are never missed.
+      MutexLock lock(mu_);
+      finished_.store(true, std::memory_order_release);
+    }
+    cv_.notify_all();
   }
 
   const std::uint64_t id_;

@@ -180,7 +180,10 @@ void ThreadPool::terminate_unadmitted(Task* task, bool rejected) {
 
 void ThreadPool::finish_job(Job* job, unsigned recorder_shard) {
   if (job->finish_one()) {
+    // Record before waking the job's waiters: wait() returning means the
+    // job is already counted in recorder().
     recorder_.record(*job, recorder_shard);
+    job->mark_finished();
     // Hot path: one RMW per job, no lock.  Only the completion that
     // observes itself as the *last outstanding job* touches done_mu_.
     // order: acq_rel — release publishes this job's recorder write before

@@ -35,7 +35,9 @@ inline double time_to_ms(core::Time t, const GeneratorConfig& cfg) {
 
 /// Builds one parallel-for job DAG of approximately `work_ms` total work:
 /// a unit-work root, `grains` body nodes splitting the work as evenly as
-/// integer units allow, and a unit-work join.
+/// integer units allow, and a unit-work join.  Built through
+/// dag::parallel_for_dag_fn, which writes the sealed CSR directly (six
+/// allocations per job); jobs of two or fewer units are a single node.
 dag::Dag make_parallel_for_job(double work_ms, std::size_t grains,
                                double units_per_ms);
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "src/dag/analysis.h"
+#include "src/dag/serialize.h"
 
 namespace pjsched::dag {
 namespace {
@@ -56,6 +59,89 @@ TEST(ParallelForTest, PerGrainWorkCallback) {
 
 TEST(ParallelForTest, ZeroGrainsRejected) {
   EXPECT_THROW(parallel_for_dag(0, 1), std::invalid_argument);
+}
+
+// The same parallel-for through the general add_node / add_edge / seal()
+// path: the oracle the closed-form builder must reproduce array for array.
+Dag general_parallel_for(const std::vector<Work>& grain_work, Work root_work,
+                         Work join_work) {
+  Dag d;
+  const NodeId root = d.add_node(root_work);
+  for (Work w : grain_work) d.add_node(w);
+  const NodeId join = d.add_node(join_work);
+  for (NodeId b = 1; b <= grain_work.size(); ++b) {
+    d.add_edge(root, b);
+    d.add_edge(b, join);
+  }
+  d.seal();
+  return d;
+}
+
+void expect_same_dag(const Dag& got, const Dag& want) {
+  ASSERT_TRUE(got.sealed());
+  ASSERT_EQ(got.node_count(), want.node_count());
+  EXPECT_EQ(got.edge_count(), want.edge_count());
+  EXPECT_EQ(got.total_work(), want.total_work());
+  EXPECT_EQ(got.critical_path(), want.critical_path());
+  EXPECT_TRUE(std::ranges::equal(got.sources(), want.sources()));
+  for (NodeId v = 0; v < got.node_count(); ++v) {
+    SCOPED_TRACE(v);
+    EXPECT_EQ(got.work_of(v), want.work_of(v));
+    EXPECT_TRUE(std::ranges::equal(got.successors(v), want.successors(v)));
+    EXPECT_TRUE(std::ranges::equal(got.predecessors(v), want.predecessors(v)));
+  }
+}
+
+// Skewed grains whose widest is neither first nor last.
+Work skewed_grain_work(std::size_t i) { return 1 + (i * 7919) % 13; }
+
+TEST(ParallelForTest, DirectBuildMatchesGeneralPath) {
+  for (std::size_t g : {1u, 2u, 31u, 32u, 33u, 64u}) {
+    SCOPED_TRACE(g);
+    std::vector<Work> grain_work;
+    std::size_t calls = 0;
+    const Dag direct = parallel_for_dag_fn(
+        g,
+        [&](std::size_t i) {
+          EXPECT_EQ(i, calls++);  // once per grain, in index order
+          grain_work.push_back(skewed_grain_work(i));
+          return grain_work.back();
+        },
+        /*root_work=*/3, /*join_work=*/5);
+    EXPECT_EQ(calls, g);
+    expect_same_dag(direct, general_parallel_for(grain_work, 3, 5));
+    EXPECT_EQ(direct.edge_count(), 2 * g);
+    EXPECT_EQ(direct.critical_path(),
+              3u + *std::max_element(grain_work.begin(), grain_work.end()) +
+                  5u);
+  }
+}
+
+TEST(ParallelForTest, DirectBuildSerializeRoundTrip) {
+  const Dag d = parallel_for_dag_fn(33, skewed_grain_work, 2, 4);
+  const Dag back = from_text(to_text(d));
+  expect_same_dag(back, d);
+  EXPECT_EQ(to_text(back), to_text(d));
+}
+
+TEST(ParallelForTest, DirectBuildRejectsZeroWork) {
+  const auto zero_at = [](std::size_t bad) {
+    return [bad](std::size_t i) { return static_cast<Work>(i == bad ? 0 : 1); };
+  };
+  EXPECT_THROW(parallel_for_dag_fn(4, zero_at(2)), std::invalid_argument);
+  EXPECT_THROW(parallel_for_dag_fn(4, zero_at(9), 0, 1), std::invalid_argument);
+  EXPECT_THROW(parallel_for_dag_fn(4, zero_at(9), 1, 0), std::invalid_argument);
+  EXPECT_THROW(parallel_for_dag_fn(std::size_t{kInvalidNode}, zero_at(9)),
+               std::length_error);
+}
+
+TEST(ParallelForTest, DirectBuildZeroGrainsIsTwoSources) {
+  const Dag d = parallel_for_dag_fn(0, skewed_grain_work, 2, 3);
+  EXPECT_EQ(d.node_count(), 2u);
+  EXPECT_EQ(d.edge_count(), 0u);
+  EXPECT_EQ(d.sources().size(), 2u);
+  EXPECT_EQ(d.critical_path(), 3u);
+  expect_same_dag(d, general_parallel_for({}, 2, 3));
 }
 
 TEST(DivideAndConquerTest, DepthZeroIsLeaf) {

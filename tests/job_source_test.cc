@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -21,9 +22,12 @@ bool same_dag(const dag::Dag& a, const dag::Dag& b) {
   if (a.node_count() != b.node_count()) return false;
   if (a.total_work() != b.total_work()) return false;
   if (a.critical_path() != b.critical_path()) return false;
+  if (a.edge_count() != b.edge_count()) return false;
+  if (!std::ranges::equal(a.sources(), b.sources())) return false;
   for (dag::NodeId v = 0; v < a.node_count(); ++v) {
     if (a.work_of(v) != b.work_of(v)) return false;
-    if (a.out_degree(v) != b.out_degree(v)) return false;
+    if (!std::ranges::equal(a.successors(v), b.successors(v))) return false;
+    if (!std::ranges::equal(a.predecessors(v), b.predecessors(v))) return false;
   }
   return true;
 }

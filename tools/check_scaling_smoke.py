@@ -22,9 +22,11 @@ Asserts, per curve, over every streamed point found:
      but far below what retaining per-job state across 10^5 jobs costs);
   2. peak RSS at the largest decade is at most --max-growth (default 4x)
      the smallest decade's — the O(live jobs) claim in miniature;
-  3. allocations per job stay under --max-allocs-per-job (default 64,
-     mirroring the in-bench budget): any per-slice allocation shows up here
-     as decade-proportional growth;
+  3. allocations per job stay under --max-allocs-per-job (default 16,
+     mirroring the in-bench budget; a healthy run reads ~7.0 event engine,
+     ~7.5 step engine, 6.0 bounds — the directly built parallel-for DAG's
+     six arrays plus arena map churn): any per-slice allocation shows up
+     here as decade-proportional growth;
   4. no benchmark reported an error (the bench itself aborts points that
      blow its allocation budget or lose jobs).
 
@@ -44,7 +46,7 @@ def main(argv):
     args = list(argv[1:])
     rss_ceiling_mb = 192.0
     max_growth = 4.0
-    max_allocs = 64.0
+    max_allocs = 16.0
     if "--rss-ceiling-mb" in args:
         i = args.index("--rss-ceiling-mb")
         rss_ceiling_mb = float(args[i + 1])

@@ -3,10 +3,11 @@
 // (3b), printed as probability histograms — exactly the presentation of
 // the paper's figure — plus an empirical-sample cross-check and the
 // synthetic log-normal workload's histogram for completeness.
+#include <algorithm>
 #include <iostream>
 #include <map>
+#include <vector>
 
-#include "src/metrics/stats.h"
 #include "src/metrics/table.h"
 #include "src/sim/rng.h"
 #include "src/workload/distributions.h"
@@ -43,13 +44,21 @@ void print_lognormal() {
   std::cout << "# synthetic log-normal workload, mean " << dist.mean_ms()
             << " ms (histogram over [0, 60) ms, 12 bins)\n";
   sim::Rng rng(11);
-  metrics::Histogram hist(0.0, 60.0, 12);
+  // Fixed-width 5 ms bins; samples are non-negative and the tail past
+  // 60 ms clamps into the last bin.
+  constexpr std::size_t kBins = 12;
+  constexpr double kBinMs = 60.0 / kBins;
   constexpr std::size_t kSamples = 200000;
-  for (std::size_t i = 0; i < kSamples; ++i) hist.add(dist.sample_ms(rng));
+  std::vector<std::size_t> counts(kBins, 0);
+  for (std::size_t i = 0; i < kSamples; ++i)
+    ++counts[static_cast<std::size_t>(
+        std::min(dist.sample_ms(rng) / kBinMs, kBins - 1.0))];
   metrics::Table table({"bin_center_ms", "fraction", "bar"});
-  for (std::size_t b = 0; b < hist.counts.size(); ++b) {
-    const double f = hist.fraction(b);
-    table.add_row({metrics::Table::cell(hist.bin_center(b)),
+  for (std::size_t b = 0; b < kBins; ++b) {
+    const double center = kBinMs * (static_cast<double>(b) + 0.5);
+    const double f =
+        static_cast<double>(counts[b]) / static_cast<double>(kSamples);
+    table.add_row({metrics::Table::cell(center),
                    metrics::Table::cell(f),
                    std::string(static_cast<std::size_t>(f * 60.0), '#')});
   }

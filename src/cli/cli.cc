@@ -39,9 +39,6 @@ struct Options {
   bool csv = false;
   std::vector<double> weight_classes = {1.0};
   std::size_t trials = 1;
-  /// Memory-bounded run: stream the workload through the engine (O(live
-  /// jobs) state) and report ratio vs the streamed lower bounds.
-  bool streamed = false;
   /// Spill-mode trace file (sim::FileTraceSink); works at 10^6 jobs where
   /// an in-core trace would not.
   std::string trace_out_file;
@@ -49,6 +46,12 @@ struct Options {
   /// given carry the sentinel speed < 0 and inherit --speed at use time.
   std::vector<core::MachineEvent> degradation;
 };
+
+/// True when a flag asks for a view rendered from an in-core trace.
+bool wants_trace_view(const Options& opt) {
+  return opt.gantt_width.has_value() || !opt.chrome_trace_file.empty() ||
+         opt.utilization_buckets.has_value();
+}
 
 /// Resolves the machine config for a run: base (m, speed) plus any
 /// --degrade events, with unspecified event speeds inheriting --speed.
@@ -112,8 +115,6 @@ Options parse(const std::vector<std::string>& args) {
         opt.utilization_buckets = std::stoull(v);
       } else if (arg == "--csv") {
         opt.csv = true;
-      } else if (arg == "--streamed") {
-        opt.streamed = true;
       } else if (consume(arg, "trace-out", &v)) {
         opt.trace_out_file = v;
       } else if (consume(arg, "weights", &v)) {
@@ -175,13 +176,8 @@ std::unique_ptr<workload::WorkDistribution> make_distribution(
   usage_error("unknown workload '" + name + "'");
 }
 
-core::Instance obtain_instance(const Options& opt) {
-  if (!opt.load_file.empty()) {
-    std::ifstream in(opt.load_file);
-    if (!in) usage_error("cannot open instance file '" + opt.load_file + "'");
-    return workload::read_instance(in);
-  }
-  const auto dist = make_distribution(opt.workload);
+/// The one generator config every command builds from the workload flags.
+workload::GeneratorConfig make_generator(const Options& opt) {
   workload::GeneratorConfig gen;
   gen.num_jobs = opt.jobs;
   gen.qps = opt.qps;
@@ -189,23 +185,52 @@ core::Instance obtain_instance(const Options& opt) {
   gen.grains = opt.grains;
   gen.units_per_ms = opt.units_per_ms;
   gen.weight_classes = opt.weight_classes;
-  return workload::generate_instance(*dist, gen);
+  return gen;
 }
 
-// Multi-trial run: aggregate statistics across seeds (no trace options).
+/// A command's job stream: the --load'ed instance, or the generated
+/// workload.  Every source() replays the identical stream, so two of them
+/// form the twin pair run_scheduler_streamed_with_bounds takes.  Only a
+/// --load'ed instance is held in memory; a generated stream is O(1) here.
+class Workload {
+ public:
+  explicit Workload(const Options& opt) {
+    if (opt.load_file.empty()) {
+      dist_ = make_distribution(opt.workload);
+      gen_ = make_generator(opt);
+    } else {
+      std::ifstream in(opt.load_file);
+      if (!in)
+        usage_error("cannot open instance file '" + opt.load_file + "'");
+      instance_ = workload::read_instance(in);
+    }
+  }
+
+  std::unique_ptr<core::JobSource> source() const {
+    if (dist_ == nullptr)
+      return std::make_unique<core::InstanceSource>(instance_);
+    return std::make_unique<workload::GeneratedJobSource>(*dist_, gen_);
+  }
+
+ private:
+  std::unique_ptr<workload::WorkDistribution> dist_;  // null under --load
+  workload::GeneratorConfig gen_;
+  core::Instance instance_;
+};
+
+// Multi-trial run: aggregate statistics across seeds.  Each trial runs its
+// own workload, so there is no single trace to render or spill.
 int cmd_run_trials(const Options& opt, std::ostream& out) {
   if (!opt.load_file.empty())
     usage_error("--trials cannot be combined with --load (trials resample "
                 "the workload)");
+  if (wants_trace_view(opt) || !opt.trace_out_file.empty())
+    usage_error("--trials cannot be combined with --gantt, --chrome-trace, "
+                "--utilization or --trace-out (each trial has its own trace)");
   const auto dist = make_distribution(opt.workload);
   core::TrialConfig cfg;
   cfg.trials = opt.trials;
-  cfg.generator.num_jobs = opt.jobs;
-  cfg.generator.qps = opt.qps;
-  cfg.generator.seed = opt.seed;
-  cfg.generator.grains = opt.grains;
-  cfg.generator.units_per_ms = opt.units_per_ms;
-  cfg.generator.weight_classes = opt.weight_classes;
+  cfg.generator = make_generator(opt);
   cfg.machine = make_machine(opt);
   cfg.scheduler = core::parse_scheduler(opt.scheduler);
   cfg.scheduler.seed = opt.seed;
@@ -219,41 +244,35 @@ int cmd_run_trials(const Options& opt, std::ostream& out) {
                    metrics::Table::cell(s.min / scale),
                    metrics::Table::cell(s.max / scale)});
   };
-  out << "scheduler " << opt.scheduler << ", " << opt.trials
-      << " trials, jobs " << opt.jobs << ", m=" << opt.m << ", speed "
-      << opt.speed << " (flow rows in ms)\n";
   add("max_flow_ms", res.max_flow, opt.units_per_ms);
   add("mean_flow_ms", res.mean_flow, opt.units_per_ms);
   add("max_weighted_flow_ms", res.max_weighted_flow, opt.units_per_ms);
   add("ratio_to_opt", res.ratio_to_opt, 1.0);
+  if (opt.csv) {
+    table.print_csv(out);
+    return 0;
+  }
+  out << "scheduler " << opt.scheduler << ", " << opt.trials
+      << " trials, jobs " << opt.jobs << ", m=" << opt.m << ", speed "
+      << opt.speed << " (flow rows in ms)\n";
   table.print(out);
   return 0;
 }
 
 int cmd_generate(const Options& opt, std::ostream& out) {
-  const core::Instance inst = obtain_instance(opt);
-  workload::write_instance(out, inst);
+  workload::write_instance(out, core::materialize(*Workload(opt).source()));
   return 0;
 }
 
-/// Builds the generator config the run/bounds commands share.
-workload::GeneratorConfig make_generator(const Options& opt) {
-  workload::GeneratorConfig gen;
-  gen.num_jobs = opt.jobs;
-  gen.qps = opt.qps;
-  gen.seed = opt.seed;
-  gen.grains = opt.grains;
-  gen.units_per_ms = opt.units_per_ms;
-  gen.weight_classes = opt.weight_classes;
-  return gen;
-}
-
-void print_bounds_table(const core::LowerBoundSet& b, double units_per_ms,
-                        std::ostream& out) {
+// One O(1)-state pass over the job stream, so --jobs can be 10^6+.
+int cmd_bounds(const Options& opt, std::ostream& out) {
+  const Workload workload(opt);
+  const core::LowerBoundSet b =
+      core::stream_lower_bounds(*workload.source(), opt.m);
   metrics::Table table({"bound", "value_units", "value_ms"});
   const auto add = [&](const char* name, double v) {
     table.add_row({name, metrics::Table::cell(v),
-                   metrics::Table::cell(v / units_per_ms)});
+                   metrics::Table::cell(v / opt.units_per_ms)});
   };
   add("span (max P_i)", b.span);
   add("work (max W_i/m)", b.work);
@@ -262,175 +281,60 @@ void print_bounds_table(const core::LowerBoundSet& b, double units_per_ms,
   add("weighted span", b.weighted_span);
   add("weighted combined", b.weighted_combined);
   table.print(out);
-}
-
-int cmd_bounds(const Options& opt, std::ostream& out) {
-  if (opt.streamed && opt.load_file.empty()) {
-    // One O(1)-state pass over the generated stream — no instance in
-    // memory, so --jobs can be 10^6+.  Bitwise-equal to the materialized
-    // path below on the same config.
-    const auto dist = make_distribution(opt.workload);
-    workload::GeneratedJobSource source(*dist, make_generator(opt));
-    print_bounds_table(core::stream_lower_bounds(source, opt.m),
-                       opt.units_per_ms, out);
-    return 0;
-  }
-  const core::Instance inst = obtain_instance(opt);
-  core::InstanceSource source(inst);
-  print_bounds_table(core::stream_lower_bounds(source, opt.m),
-                     opt.units_per_ms, out);
   return 0;
 }
 
-// Memory-bounded run: streams the workload twice — one O(1)-state pass for
-// the lower bounds, one O(live jobs) pass for the scheduler — and reports
-// the competitive ratio without ever materializing the instance.
-int cmd_run_streamed(const Options& opt, std::ostream& out) {
-  if (opt.trials > 1)
-    usage_error("--streamed cannot be combined with --trials");
-  if (opt.gantt_width.has_value() || !opt.chrome_trace_file.empty() ||
-      opt.utilization_buckets.has_value())
-    usage_error(
-        "--streamed records traces via --trace-out=FILE; in-core trace views "
-        "(--gantt/--chrome-trace/--utilization) need a materialized run");
-  auto spec = core::parse_scheduler(opt.scheduler);
-  spec.seed = opt.seed;
-  const core::MachineConfig machine = make_machine(opt);
-
-  std::unique_ptr<sim::FileTraceSink> sink;
-  std::unique_ptr<sim::Trace> trace;
-  if (!opt.trace_out_file.empty()) {
-    sink = std::make_unique<sim::FileTraceSink>(opt.trace_out_file);
-    trace = std::make_unique<sim::Trace>(sink.get());
-  }
-
-  core::StreamRatioResult res;
-  if (!opt.load_file.empty()) {
-    const core::Instance inst = obtain_instance(opt);
-    core::InstanceSource bound_source(inst);
-    core::InstanceSource run_source(inst);
-    res = core::run_scheduler_streamed_with_bounds(
-        run_source, bound_source, spec, machine, nullptr, trace.get());
-  } else {
-    const auto dist = make_distribution(opt.workload);
-    const workload::GeneratorConfig gen = make_generator(opt);
-    workload::GeneratedJobSource bound_source(*dist, gen);
-    workload::GeneratedJobSource run_source(*dist, gen);
-    res = core::run_scheduler_streamed_with_bounds(
-        run_source, bound_source, spec, machine, nullptr, trace.get());
-  }
+void print_summary(const Options& opt, const core::MachineConfig& machine,
+                   const core::StreamRatioResult& res, std::ostream& out) {
+  const core::StreamRunResult& run = res.run;
   const double u = opt.units_per_ms;
-
   if (opt.csv) {
     metrics::Table table({"scheduler", "jobs", "m", "speed", "max_flow_ms",
                           "mean_flow_ms", "max_weighted_flow_ms",
-                          "makespan_ms", "combined_bound_ms", "ratio"});
-    table.add_row(
-        {res.run.scheduler_name, metrics::Table::cell(std::uint64_t{
-                                     res.run.jobs}),
-         metrics::Table::cell(std::uint64_t{opt.m}),
-         metrics::Table::cell(opt.speed),
-         metrics::Table::cell(res.run.max_flow / u),
-         metrics::Table::cell(res.run.mean_flow / u),
-         metrics::Table::cell(res.run.max_weighted_flow / u),
-         metrics::Table::cell(res.run.makespan / u),
-         metrics::Table::cell(res.bounds.combined / u),
-         metrics::Table::cell(res.ratio)});
-    table.print_csv(out);
-  } else {
-    out << "scheduler:        " << res.run.scheduler_name << " (streamed)\n"
-        << "jobs:             " << res.run.jobs << "\n"
-        << "machine:          m=" << opt.m << ", speed " << opt.speed << "\n"
-        << "max flow:         " << res.run.max_flow / u << " ms (job "
-        << res.run.argmax_flow << ")\n"
-        << "mean flow:        " << res.run.mean_flow / u << " ms\n"
-        << "p99 flow:         " << res.run.flow.p99 / u << " ms ("
-        << (res.run.flow_quantiles_exact ? "exact" : "reservoir estimate")
-        << ")\n"
-        << "max weighted:     " << res.run.max_weighted_flow / u
-        << " weighted-ms\n"
-        << "makespan:         " << res.run.makespan / u << " ms\n"
-        << "combined bound:   " << res.bounds.combined / u << " ms\n"
-        << "opt-sim bound:    " << res.bounds.opt_sim / u << " ms\n"
-        << "ratio to bound:   " << res.ratio << "\n";
-    if (res.weighted_ratio > 0.0 && res.weighted_ratio != res.ratio)
-      out << "weighted ratio:   " << res.weighted_ratio << "\n";
-    if (res.run.stats.steal_attempts > 0 || res.run.stats.admissions > 0)
-      out << "steals:           " << res.run.stats.successful_steals << "/"
-          << res.run.stats.steal_attempts << " successful, "
-          << res.run.stats.admissions << " admissions\n";
-  }
-  if (sink != nullptr)
-    out << "trace written to " << opt.trace_out_file << " ("
-        << sink->intervals_written() << " intervals, "
-        << sink->steals_written() << " steals, "
-        << sink->admissions_written() << " admissions)\n";
-  return 0;
-}
-
-int cmd_run(const Options& opt, std::ostream& out) {
-  if (opt.streamed) return cmd_run_streamed(opt, out);
-  if (opt.trials > 1) return cmd_run_trials(opt, out);
-  const core::Instance inst = obtain_instance(opt);
-  auto spec = core::parse_scheduler(opt.scheduler);
-  spec.seed = opt.seed;
-
-  const bool want_trace = opt.gantt_width.has_value() ||
-                          !opt.chrome_trace_file.empty() ||
-                          opt.utilization_buckets.has_value();
-  std::unique_ptr<sim::FileTraceSink> sink;
-  std::unique_ptr<sim::Trace> spill;
-  if (!opt.trace_out_file.empty()) {
-    if (want_trace)
-      usage_error(
-          "--trace-out spills the trace to disk and cannot feed the in-core "
-          "views (--gantt/--chrome-trace/--utilization)");
-    sink = std::make_unique<sim::FileTraceSink>(opt.trace_out_file);
-    spill = std::make_unique<sim::Trace>(sink.get());
-  }
-  sim::Trace trace;
-  const core::MachineConfig machine = make_machine(opt);
-  sim::Trace* trace_ptr =
-      spill != nullptr ? spill.get() : (want_trace ? &trace : nullptr);
-  const auto res = core::run_scheduler(inst, spec, machine, trace_ptr);
-
-  if (opt.csv) {
-    metrics::Table table({"scheduler", "jobs", "m", "speed", "max_flow_ms",
-                          "mean_flow_ms", "max_weighted_flow_ms",
-                          "makespan_ms", "steals", "admissions"});
-    table.add_row({res.scheduler_name, metrics::Table::cell(std::uint64_t{
-                                           inst.size()}),
+                          "makespan_ms", "steals", "admissions",
+                          "combined_bound_ms", "ratio"});
+    table.add_row({run.scheduler_name,
+                   metrics::Table::cell(std::uint64_t{run.jobs}),
                    metrics::Table::cell(std::uint64_t{opt.m}),
                    metrics::Table::cell(opt.speed),
-                   metrics::Table::cell(res.max_flow / opt.units_per_ms),
-                   metrics::Table::cell(res.mean_flow / opt.units_per_ms),
-                   metrics::Table::cell(res.max_weighted_flow / opt.units_per_ms),
-                   metrics::Table::cell(res.makespan / opt.units_per_ms),
-                   metrics::Table::cell(res.stats.steal_attempts),
-                   metrics::Table::cell(res.stats.admissions)});
+                   metrics::Table::cell(run.max_flow / u),
+                   metrics::Table::cell(run.mean_flow / u),
+                   metrics::Table::cell(run.max_weighted_flow / u),
+                   metrics::Table::cell(run.makespan / u),
+                   metrics::Table::cell(run.stats.steal_attempts),
+                   metrics::Table::cell(run.stats.admissions),
+                   metrics::Table::cell(res.bounds.combined / u),
+                   metrics::Table::cell(res.ratio)});
     table.print_csv(out);
-  } else {
-    out << "scheduler:        " << res.scheduler_name << "\n"
-        << "jobs:             " << inst.size() << "\n"
-        << "machine:          m=" << opt.m << ", speed " << opt.speed;
-    for (const core::MachineEvent& e : machine.degradation)
-      out << ", @" << e.time << "->m=" << e.processors << "/s=" << e.speed;
-    out << "\n"
-        << "max flow:         " << res.max_flow / opt.units_per_ms
-        << " ms (job " << res.argmax_flow << ")\n"
-        << "mean flow:        " << res.mean_flow / opt.units_per_ms << " ms\n"
-        << "max weighted:     " << res.max_weighted_flow / opt.units_per_ms
-        << " weighted-ms\n"
-        << "makespan:         " << res.makespan / opt.units_per_ms << " ms\n"
-        << "opt lower bound:  "
-        << core::opt_sim_lower_bound(inst, opt.m) / opt.units_per_ms
-        << " ms\n";
-    if (res.stats.steal_attempts > 0 || res.stats.admissions > 0)
-      out << "steals:           " << res.stats.successful_steals << "/"
-          << res.stats.steal_attempts << " successful, "
-          << res.stats.admissions << " admissions\n";
+    return;
   }
+  out << "scheduler:        " << run.scheduler_name << "\n"
+      << "jobs:             " << run.jobs << "\n"
+      << "machine:          m=" << opt.m << ", speed " << opt.speed;
+  for (const core::MachineEvent& e : machine.degradation)
+    out << ", @" << e.time << "->m=" << e.processors << "/s=" << e.speed;
+  out << "\n"
+      << "max flow:         " << run.max_flow / u << " ms (job "
+      << run.argmax_flow << ")\n"
+      << "mean flow:        " << run.mean_flow / u << " ms\n"
+      << "p99 flow:         " << run.flow.p99 / u << " ms ("
+      << (run.flow_quantiles_exact ? "exact" : "reservoir estimate") << ")\n"
+      << "max weighted:     " << run.max_weighted_flow / u
+      << " weighted-ms\n"
+      << "makespan:         " << run.makespan / u << " ms\n"
+      << "opt lower bound:  " << res.bounds.opt_sim / u << " ms\n"
+      << "combined bound:   " << res.bounds.combined / u << " ms\n"
+      << "ratio to bound:   " << res.ratio << "\n";
+  if (res.weighted_ratio > 0.0 && res.weighted_ratio != res.ratio)
+    out << "weighted ratio:   " << res.weighted_ratio << "\n";
+  if (run.stats.steal_attempts > 0 || run.stats.admissions > 0)
+    out << "steals:           " << run.stats.successful_steals << "/"
+        << run.stats.steal_attempts << " successful, "
+        << run.stats.admissions << " admissions\n";
+}
 
+void print_views(const Options& opt, const sim::Trace& trace,
+                 std::ostream& out) {
   if (opt.gantt_width.has_value()) {
     metrics::GanttOptions gopt;
     gopt.width = *opt.gantt_width;
@@ -453,6 +357,39 @@ int cmd_run(const Options& opt, std::ostream& out) {
     out << "\nchrome trace written to " << opt.chrome_trace_file
         << " (open in chrome://tracing)\n";
   }
+}
+
+// Streams the workload twice: one O(1)-state pass for the lower bounds and
+// one O(live jobs) pass for the scheduler.  Memory stays O(live jobs)
+// unless an in-core view asks for the trace, which is O(intervals).
+int cmd_run(const Options& opt, std::ostream& out) {
+  if (opt.trials > 1) return cmd_run_trials(opt, out);
+  auto spec = core::parse_scheduler(opt.scheduler);
+  spec.seed = opt.seed;
+  const core::MachineConfig machine = make_machine(opt);
+
+  const bool want_views = wants_trace_view(opt);
+  std::unique_ptr<sim::FileTraceSink> sink;
+  std::unique_ptr<sim::Trace> trace;
+  if (!opt.trace_out_file.empty()) {
+    if (want_views)
+      usage_error(
+          "--trace-out spills the trace to disk and cannot feed the in-core "
+          "views (--gantt/--chrome-trace/--utilization)");
+    sink = std::make_unique<sim::FileTraceSink>(opt.trace_out_file);
+    trace = std::make_unique<sim::Trace>(sink.get());
+  } else if (want_views) {
+    trace = std::make_unique<sim::Trace>();
+  }
+
+  const Workload workload(opt);
+  const auto run_source = workload.source();
+  const auto bound_source = workload.source();
+  const core::StreamRatioResult res = core::run_scheduler_streamed_with_bounds(
+      *run_source, *bound_source, spec, machine, nullptr, trace.get());
+
+  print_summary(opt, machine, res, out);
+  if (want_views) print_views(opt, *trace, out);
   if (sink != nullptr)
     out << "trace written to " << opt.trace_out_file << " ("
         << sink->intervals_written() << " intervals, "
@@ -478,11 +415,9 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
            "       [--units-per-ms=U] [--load=FILE] [--gantt[=W]]\n"
            "       [--chrome-trace=FILE] [--utilization=B] [--csv]\n"
            "       [--weights=w1,w2,...] [--trials=R]\n"
-           "       [--streamed]  (memory-bounded run/bounds: O(live jobs) "
-           "state,\n"
-           "        reports ratio vs the streamed lower bounds)\n"
-           "       [--trace-out=FILE]  (bounded-memory spill trace; works "
-           "at 10^6 jobs)\n"
+           "       [--trace-out=FILE]  (spill trace to FILE; run and bounds "
+           "stream in\n"
+           "        O(live jobs) memory, in-core views are O(intervals))\n"
            "       [--degrade=t:m[:s],...]  (machine loses/recovers "
            "processors at time t;\n"
            "        work-stealing schedulers reject speed changes)\n";

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "src/metrics/stats.h"
-#include "src/workload/streaming_source.h"
 
 namespace pjsched::core {
 
@@ -47,59 +46,6 @@ std::vector<ExperimentRow> run_experiment(const workload::WorkDistribution& dist
       for (std::size_t i = 0; i < res.flow.size(); ++i)
         flows_ms[i] = res.flow[i] / cfg.units_per_ms;
       row.p99_flow_ms = metrics::quantile_select(flows_ms, 0.99);
-      row.opt_bound_ms = opt_ms;
-      row.ratio_to_opt = opt_ms > 0.0 ? row.max_flow_ms / opt_ms : 0.0;
-      rows.push_back(std::move(row));
-    }
-  }
-  return rows;
-}
-
-std::vector<ExperimentRow> run_experiment_streamed(
-    const workload::WorkDistribution& dist, const ExperimentConfig& cfg) {
-  if (cfg.qps_values.empty())
-    throw std::invalid_argument("run_experiment_streamed: no QPS values");
-  if (cfg.schedulers.empty())
-    throw std::invalid_argument("run_experiment_streamed: no schedulers");
-
-  const MachineConfig machine{cfg.processors, cfg.speed};
-  std::vector<ExperimentRow> rows;
-
-  for (double qps : cfg.qps_values) {
-    workload::GeneratorConfig gen;
-    gen.num_jobs = cfg.num_jobs;
-    gen.qps = qps;
-    gen.units_per_ms = cfg.units_per_ms;
-    gen.grains = cfg.grains;
-    gen.seed = cfg.seed;
-    gen.weight_classes = cfg.weight_classes;
-
-    // One O(1)-state streamed pass replaces the per-cell kOptBound run: at
-    // speed 1 the opt_sim bound is bitwise the OPT comparator's max flow.
-    workload::GeneratedJobSource opt_source(dist, gen);
-    const LowerBoundSet bounds =
-        stream_lower_bounds(opt_source, cfg.processors);
-    const double opt_ms = bounds.opt_sim / cfg.units_per_ms;
-
-    for (const SchedulerSpec& spec : cfg.schedulers) {
-      // A fresh source per scheduler replays the identical stream, so the
-      // cell stays paired just like the materialized sweep.
-      workload::GeneratedJobSource source(dist, gen);
-      const StreamRunResult res =
-          run_scheduler_streamed(source, spec, machine);
-      ExperimentRow row;
-      row.workload = dist.name();
-      row.qps = qps;
-      row.utilization = workload::utilization(dist, qps, cfg.processors);
-      row.scheduler = res.scheduler_name;
-      row.max_flow_ms = res.max_flow / cfg.units_per_ms;
-      row.mean_flow_ms = res.mean_flow / cfg.units_per_ms;
-      row.max_weighted_flow_ms = res.max_weighted_flow / cfg.units_per_ms;
-      // Division by units_per_ms is monotone, so the quantile's order
-      // statistics carry over unchanged; only the interpolation between
-      // them rounds once here vs per-sample above (<= 1 ulp apart from
-      // the materialized column).
-      row.p99_flow_ms = res.flow.p99 / cfg.units_per_ms;
       row.opt_bound_ms = opt_ms;
       row.ratio_to_opt = opt_ms > 0.0 ? row.max_flow_ms / opt_ms : 0.0;
       rows.push_back(std::move(row));

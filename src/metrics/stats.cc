@@ -59,61 +59,12 @@ Summary summarize(const std::vector<double>& samples) {
   return s;
 }
 
-double weighted_max(const std::vector<double>& samples,
-                    const std::vector<double>& weights) {
-  if (samples.size() != weights.size())
-    throw std::invalid_argument("weighted_max: size mismatch");
-  double best = 0.0;
-  for (std::size_t i = 0; i < samples.size(); ++i)
-    best = std::max(best, samples[i] * weights[i]);
-  return best;
-}
-
-double slo_miss_fraction(const std::vector<double>& samples,
-                         double threshold) {
-  if (samples.empty()) return 0.0;
-  std::size_t misses = 0;
-  for (double x : samples)
-    if (x > threshold) ++misses;
-  return static_cast<double>(misses) / static_cast<double>(samples.size());
-}
-
 double tightest_slo(const std::vector<double>& samples, double miss_budget) {
   if (samples.empty()) throw std::invalid_argument("tightest_slo: empty");
   if (miss_budget < 0.0 || miss_budget > 1.0)
     throw std::invalid_argument("tightest_slo: bad miss budget");
   std::vector<double> scratch = samples;
   return quantile_select(scratch, 1.0 - miss_budget);
-}
-
-Histogram::Histogram(double lo_in, double hi_in, std::size_t bins)
-    : lo(lo_in), hi(hi_in), counts(bins, 0) {
-  if (!(lo < hi) || bins == 0)
-    throw std::invalid_argument("Histogram: bad parameters");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi - lo) / static_cast<double>(counts.size());
-  auto b = static_cast<long long>(std::floor((x - lo) / width));
-  b = std::clamp<long long>(b, 0, static_cast<long long>(counts.size()) - 1);
-  ++counts[static_cast<std::size_t>(b)];
-}
-
-std::size_t Histogram::total() const {
-  std::size_t t = 0;
-  for (std::size_t c : counts) t += c;
-  return t;
-}
-
-double Histogram::fraction(std::size_t b) const {
-  const std::size_t t = total();
-  return t == 0 ? 0.0
-                : static_cast<double>(counts.at(b)) / static_cast<double>(t);
-}
-
-double Histogram::bin_center(std::size_t b) const {
-  const double width = (hi - lo) / static_cast<double>(counts.size());
-  return lo + width * (static_cast<double>(b) + 0.5);
 }
 
 }  // namespace pjsched::metrics

@@ -250,9 +250,9 @@ class ThreadPool {
   void shutdown();
 
   unsigned workers() const { return static_cast<unsigned>(workers_.size()); }
-  /// Note: Job::wait() returns just before the job lands in the recorder;
-  /// wait_all() is the barrier after which the recorder covers every
-  /// submitted job.
+  /// A job is recorded before its waiters wake: once Job::wait() returns,
+  /// the job is counted in recorder(), and after wait_all() the recorder
+  /// covers every submitted job.
   FlowRecorder& recorder() { return recorder_; }
   /// Aggregated from ONE pass over the workers (each counter read exactly
   /// once per call); counters are updated with relaxed atomics, so a

@@ -93,14 +93,6 @@ TEST(GeneratorWithArrivalsTest, EmptyArrivalsRejected) {
 
 // --- SLO metrics ---
 
-TEST(SloTest, MissFraction) {
-  EXPECT_DOUBLE_EQ(metrics::slo_miss_fraction({1.0, 2.0, 3.0, 4.0}, 2.5), 0.5);
-  EXPECT_DOUBLE_EQ(metrics::slo_miss_fraction({1.0, 2.0}, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(metrics::slo_miss_fraction({}, 1.0), 0.0);
-  // Threshold is inclusive (miss = strictly greater).
-  EXPECT_DOUBLE_EQ(metrics::slo_miss_fraction({2.0, 2.0}, 2.0), 0.0);
-}
-
 TEST(SloTest, TightestSlo) {
   std::vector<double> flows;
   for (int i = 1; i <= 100; ++i) flows.push_back(static_cast<double>(i));

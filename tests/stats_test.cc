@@ -133,31 +133,5 @@ TEST(TightestSloTest, MatchesQuantile) {
   EXPECT_EQ(tightest_slo(v, 1.0), 10.0);
 }
 
-TEST(WeightedMaxTest, PicksWeightedArgmax) {
-  EXPECT_DOUBLE_EQ(weighted_max({5.0, 2.0}, {1.0, 10.0}), 20.0);
-  EXPECT_THROW(weighted_max({1.0}, {1.0, 2.0}), std::invalid_argument);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.9);    // bin 4
-  h.add(-3.0);   // clamps to bin 0
-  h.add(42.0);   // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.counts[0], 2u);
-  EXPECT_EQ(h.counts[2], 1u);
-  EXPECT_EQ(h.counts[4], 2u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(4), 9.0);
-}
-
-TEST(HistogramTest, BadParamsRejected) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace pjsched::metrics

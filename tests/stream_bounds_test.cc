@@ -12,7 +12,6 @@
 #include <string>
 
 #include "src/core/bounds.h"
-#include "src/core/experiment.h"
 #include "src/core/job_source.h"
 #include "src/core/run.h"
 #include "src/core/types.h"
@@ -189,42 +188,6 @@ TEST(StreamBoundsTest, EmptySourceYieldsZeroBounds) {
   EXPECT_EQ(b.jobs, 0u);
   EXPECT_EQ(b.combined, 0.0);
   EXPECT_EQ(b.weighted_combined, 0.0);
-}
-
-// The streamed experiment driver reports the same max/opt/ratio columns as
-// the materialized sweep (bitwise — they share sources, engines, and the
-// opt_sim == OPT-run identity above).
-TEST(StreamBoundsTest, StreamedExperimentMatchesMaterializedColumns) {
-  const auto dist = workload::bing_distribution();
-  core::ExperimentConfig cfg;
-  cfg.processors = 16;
-  cfg.num_jobs = 300;
-  cfg.qps_values = {400.0, 800.0};
-  cfg.schedulers = {core::parse_scheduler("fifo"),
-                    core::parse_scheduler("steal-16-first")};
-  cfg.units_per_ms = 100.0;
-  cfg.seed = 5;
-  cfg.weight_classes = {1.0, 2.0, 8.0};
-
-  const auto mat = core::run_experiment(dist, cfg);
-  const auto str = core::run_experiment_streamed(dist, cfg);
-  ASSERT_EQ(mat.size(), str.size());
-  for (std::size_t i = 0; i < mat.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(str[i].workload, mat[i].workload);
-    EXPECT_EQ(str[i].qps, mat[i].qps);
-    EXPECT_EQ(str[i].scheduler, mat[i].scheduler);
-    EXPECT_EQ(str[i].max_flow_ms, mat[i].max_flow_ms);
-    EXPECT_EQ(str[i].max_weighted_flow_ms, mat[i].max_weighted_flow_ms);
-    EXPECT_EQ(str[i].opt_bound_ms, mat[i].opt_bound_ms);
-    EXPECT_EQ(str[i].ratio_to_opt, mat[i].ratio_to_opt);
-    // 300 jobs per cell fit the reservoir, so the p99 order statistics are
-    // exact; the column still differs by <= 1 ulp because the materialized
-    // sweep converts samples to ms before the quantile interpolation while
-    // the streamed sweep divides the interpolated quantile once.
-    EXPECT_NEAR(str[i].p99_flow_ms, mat[i].p99_flow_ms,
-                1e-12 * (1.0 + mat[i].p99_flow_ms));
-  }
 }
 
 }  // namespace

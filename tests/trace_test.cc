@@ -41,13 +41,7 @@ TEST(TraceTest, CoalesceSortsByProcessorThenTime) {
   EXPECT_DOUBLE_EQ(t.intervals()[2].start, 5.0);
 }
 
-TEST(TraceTest, StealEventRecordingCanBeDisabled) {
-  Trace quiet(/*record_steal_events=*/false);
-  quiet.add_steal({0, 1, true, 5});
-  quiet.add_admission({0, 2, 6});
-  EXPECT_TRUE(quiet.steals().empty());
-  EXPECT_TRUE(quiet.admissions().empty());
-
+TEST(TraceTest, RecordsStealAndAdmissionEvents) {
   Trace loud;
   loud.add_steal({0, 1, true, 5});
   loud.add_admission({0, 2, 6});

@@ -13,7 +13,9 @@
 //   BM_IngestSocket/I/C   end to end: a Daemon with I io shards fed over C
 //                         loopback TCP connections, manual-timed from first
 //                         byte written to the last record counted by the
-//                         daemon.  The io-threads x connections grid feeds
+//                         daemon; the `complete_s` counter times on to the
+//                         last record's terminal outcome in the tenant
+//                         books.  The io-threads x connections grid feeds
 //                         the `ingest` section of BENCH_sim.json
 //                         (tools/make_bench_baseline.py --ingest), whose
 //                         single-loop -> sharded scaling claim carries the
@@ -174,8 +176,10 @@ BENCHMARK(BM_IngestPerLine);
 /// End to end over real loopback sockets: io-threads (arg 0) x connections
 /// (arg 1).  Each manual-timed iteration writes a fixed record count split
 /// across the persistent connections and waits until the daemon has
-/// counted them all; the untimed tail lets the router drain back below the
-/// shed threshold so iterations measure admission, not eviction.
+/// counted them all.  The untimed tail waits until every record has a
+/// terminal outcome, which `complete_s` reports (mean per iteration, from
+/// the first byte written), and leaves the router empty so iterations
+/// measure admission, not eviction.
 void BM_IngestSocket(benchmark::State& state) {
   const auto io_threads = static_cast<std::size_t>(state.range(0));
   const auto connections = static_cast<std::size_t>(state.range(1));
@@ -216,7 +220,13 @@ void BM_IngestSocket(benchmark::State& state) {
     }
   }
 
+  const auto terminal = [&daemon] {
+    std::uint64_t n = 0;
+    for (const auto& [name, t] : daemon.snapshot().tenants) n += t.terminal();
+    return n;
+  };
   std::uint64_t expected = 0;
+  double complete_s = 0.0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
     {
@@ -234,10 +244,11 @@ void BM_IngestSocket(benchmark::State& state) {
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - t0;
     state.SetIterationTime(elapsed.count());
-    // Untimed: drain the backlog below half capacity so the next
-    // iteration's arrivals are admitted, not fair-share-evicted.
-    while (daemon.snapshot().router.depth > kCapacity / 2)
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    while (terminal() < expected)
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    complete_s += std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
   }
 
   for (const int fd : fds) close_fd(fd);
@@ -245,6 +256,8 @@ void BM_IngestSocket(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kPerIteration));
   state.counters["io_threads"] = static_cast<double>(io_threads);
   state.counters["connections"] = static_cast<double>(connections);
+  state.counters["complete_s"] =
+      complete_s / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_IngestSocket)
     ->UseManualTime()

@@ -64,6 +64,14 @@ inline const char* to_string(JobOutcome o) {
   return "?";
 }
 
+/// Caller context a job carries to the pool's finish hook.  The pool never
+/// reads it: the service layer stores the record's tenant books and its
+/// ingest time here, so booking a finished job needs no lookup.
+struct JobTag {
+  void* context = nullptr;
+  Clock::time_point origin{};
+};
+
 /// Thrown out of TaskContext::wait_help when the surrounding job was
 /// cancelled during the join: the remaining subtasks were skipped, so
 /// continuing the body is pointless and it must unwind.  Thrown only once
@@ -103,6 +111,9 @@ class Job {
 
   bool has_deadline() const { return has_deadline_; }
   Clock::time_point deadline() const { return deadline_; }
+
+  /// The tag given at submission (SubmitOptions::tag).
+  const JobTag& tag() const { return tag_; }
 
   /// What went wrong (first failure wins); empty for fault-free jobs.
   std::string error() const {
@@ -213,6 +224,7 @@ class Job {
   Clock::time_point completion_time_{};
   Clock::time_point deadline_{};
   bool has_deadline_ = false;  // written before the job is visible to workers
+  JobTag tag_{};               // likewise
   mutable Mutex mu_;
   mutable CondVar cv_;
   std::string error_ PJSCHED_GUARDED_BY(mu_);  // first failure wins

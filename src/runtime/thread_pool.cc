@@ -5,6 +5,7 @@
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace pjsched::runtime {
 
@@ -74,13 +75,14 @@ bool TaskContext::poll_deadline() {
   return job_->cancelled();
 }
 
-ThreadPool::ThreadPool(const PoolOptions& options)
+ThreadPool::ThreadPool(const PoolOptions& options, FinishHook on_finish)
     : admission_(options.admission_capacity, options.backpressure),
       // One recorder shard per worker plus one shared by every non-worker
       // caller (submit-side rejections, the shutdown drain).
       recorder_((options.workers == 0 ? 1 : options.workers) + 1),
       steal_k_(options.steal_k),
       admit_by_weight_(options.admit_by_weight),
+      on_finish_(std::move(on_finish)),
       watchdog_sink_(options.watchdog_sink) {
   const unsigned n = options.workers == 0 ? 1 : options.workers;
   if (!options.fault_plan.empty())
@@ -135,6 +137,7 @@ JobHandle ThreadPool::submit(TaskFn root, const SubmitOptions& options) {
   job->mark_submitted();
   if (options.deadline.has_value())
     job->set_deadline(job->submit_time() + *options.deadline);
+  job->tag_ = options.tag;
   job->add_pending();  // the root task
   {
     MutexLock lock(done_mu_);
@@ -180,9 +183,10 @@ void ThreadPool::terminate_unadmitted(Task* task, bool rejected) {
 
 void ThreadPool::finish_job(Job* job, unsigned recorder_shard) {
   if (job->finish_one()) {
-    // Record before waking the job's waiters: wait() returning means the
-    // job is already counted in recorder().
+    // Record, then hook, then wake the job's waiters: wait() returning
+    // means the job is counted in recorder() and its hook has returned.
     recorder_.record(*job, recorder_shard);
+    if (on_finish_) on_finish_(*job);
     job->mark_finished();
     // Hot path: one RMW per job, no lock.  Only the completion that
     // observes itself as the *last outstanding job* touches done_mu_.

@@ -15,7 +15,8 @@
 //   * tasks spawn subtasks onto their worker's deque (TaskContext::spawn)
 //     and join with help-first waiting (TaskContext::wait_help), which
 //     executes other tasks instead of blocking the thread;
-//   * job flow times and terminal outcomes land in a FlowRecorder.
+//   * job flow times and terminal outcomes land in a FlowRecorder, then
+//     reach the optional per-pool finish hook.
 //
 // Fault tolerance (see docs/runtime.md, "Failure model"):
 //   * an exception escaping a task body is contained at the task boundary:
@@ -114,7 +115,12 @@ struct SubmitOptions {
   /// Enforcement is cooperative: checked before every task of the job
   /// executes (long task bodies should poll TaskContext::cancelled()).
   std::optional<Clock::duration> deadline;
+  /// Handed back, unread, to the pool's finish hook as Job::tag().
+  JobTag tag;
 };
+
+/// Runs once per job on its terminal outcome; see ThreadPool's constructor.
+using FinishHook = InlineFn<void(const Job&)>;
 
 class ThreadPool;
 
@@ -208,7 +214,14 @@ class TaskContext {
 
 class ThreadPool {
  public:
-  explicit ThreadPool(const PoolOptions& options);
+  /// `on_finish`, if set, runs exactly once per submitted job, for every
+  /// terminal outcome: on the worker that ran the job's last task
+  /// (completed, failed, deadline-expired), or on the submit() or
+  /// shutdown() thread for a job that never ran (rejected, shed).  It runs
+  /// after the job is counted in recorder() and before Job::wait() and
+  /// wait_all() return, with no pool lock held; it must not throw and must
+  /// not block on other jobs of this pool.
+  explicit ThreadPool(const PoolOptions& options, FinishHook on_finish = {});
   /// Drains all submitted jobs, then stops and joins the workers.
   ~ThreadPool();
 
@@ -306,8 +319,9 @@ class ThreadPool {
   /// releases the task.  Runs on non-worker threads (submit / shutdown).
   void terminate_unadmitted(Task* task, bool rejected);
   /// Drains one pending count; on the job's last task records it in the
-  /// given recorder shard and, only when this was the last outstanding
-  /// job, notifies done_cv_ (completions of non-final jobs touch no lock).
+  /// given recorder shard, runs the finish hook and, only when this was the
+  /// last outstanding job, notifies done_cv_ (completions of non-final jobs
+  /// touch no pool lock).
   void finish_job(Job* job, unsigned recorder_shard);
   /// Recorder shard for non-worker threads (submit, shutdown, watchdog).
   unsigned external_shard() const { return workers(); }
@@ -325,6 +339,7 @@ class ThreadPool {
   TaskPool external_pool_ PJSCHED_GUARDED_BY(external_mu_);
   const unsigned steal_k_;
   const bool admit_by_weight_;
+  FinishHook on_finish_;  // empty = no hook: one branch per job
   std::unique_ptr<FaultInjector> injector_;  // null when the plan is empty
 
   std::atomic<bool> stop_{false};

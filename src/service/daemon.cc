@@ -82,7 +82,13 @@ void spin_cancellable(runtime::TaskContext& ctx, double units,
 }  // namespace
 
 Daemon::Daemon(const DaemonConfig& config)
-    : config_(config), pool_(config.pool), router_(config.router) {
+    : config_(config),
+      window_(config.dispatch_window > 0
+                  ? config.dispatch_window
+                  : std::size_t{4} * std::max(1u, config.pool.workers)),
+      router_(config.router),
+      pool_(config.pool,
+            [this](const runtime::Job& job) { on_job_finished(job); }) {
   started_ = Clock::now();
   std::string error;
   if (!config_.unix_socket_path.empty()) {
@@ -100,41 +106,39 @@ Daemon::Daemon(const DaemonConfig& config)
     }
     tcp_port_ = bound;
   }
+  const bool listening = unix_listen_fd_ >= 0 || tcp_listen_fd_ >= 0;
+  std::size_t n = listening ? config_.io_threads : 0;
+  if (listening && n == 0)
+    n = std::max<std::size_t>(1, std::thread::hardware_concurrency() / 4);
+  io_shards_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto shard = std::make_unique<IoShard>();
+    if (make_wake_pipe(&shard->wake_rd, &shard->wake_wr) != 0) {
+      // No thread runs yet: close what exists and give up.
+      for (auto& s : io_shards_) {
+        close_fd(s->wake_rd);
+        close_fd(s->wake_wr);
+      }
+      close_fd(unix_listen_fd_);
+      close_fd(tcp_listen_fd_);
+      throw std::runtime_error("pjschedd: wake pipe creation failed");
+    }
+    io_shards_.push_back(std::move(shard));
+  }
   dispatcher_ = std::thread([this] { dispatcher_main(); });
   maintenance_ = std::thread([this] { maintenance_main(); });
-  if (unix_listen_fd_ >= 0 || tcp_listen_fd_ >= 0) {
-    std::size_t n = config_.io_threads;
-    if (n == 0)
-      n = std::max<std::size_t>(1, std::thread::hardware_concurrency() / 4);
-    io_shards_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto shard = std::make_unique<IoShard>();
-      if (make_wake_pipe(&shard->wake_rd, &shard->wake_wr) != 0) {
-        // Tear down what exists; the daemon cannot run half-sharded.
-        for (auto& s : io_shards_) {
-          close_fd(s->wake_rd);
-          close_fd(s->wake_wr);
-        }
-        close_fd(unix_listen_fd_);
-        close_fd(tcp_listen_fd_);
-        stop_.store(true, std::memory_order_release);
-        work_cv_.notify_all();
-        dispatcher_.join();
-        maintenance_.join();
-        pool_.shutdown();
-        throw std::runtime_error("pjschedd: wake pipe creation failed");
-      }
-      io_shards_.push_back(std::move(shard));
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      io_shards_[i]->thread = std::thread([this, i] { io_shard_main(i); });
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    io_shards_[i]->thread = std::thread([this, i] { io_shard_main(i); });
 }
 
 Daemon::~Daemon() {
   router_.begin_drain();
-  stop_.store(true, std::memory_order_release);
-  work_cv_.notify_all();
+  {
+    runtime::MutexLock lock(state_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
+  dispatch_cv_.notify_all();
+  tick_cv_.notify_all();
   for (auto& shard : io_shards_) wake_shard(shard->wake_wr);
   for (auto& shard : io_shards_) {
     if (shard->thread.joinable()) shard->thread.join();
@@ -148,12 +152,13 @@ Daemon::~Daemon() {
   // dispatched: give each record its terminal outcome (rejected: the
   // daemon is going away) so the books balance even on an abrupt stop.
   QueuedRecord rec;
-  while (router_.try_pop(&rec)) account_shed(rec, ShedReason::kRejectDrain);
+  while (router_.try_pop(&rec)) {
+    runtime::MutexLock lock(state_mu_);
+    book_shed_locked(rec.record.tenant, ShedReason::kRejectDrain);
+  }
 
-  // Drain the pool (every dispatched job reaches a terminal outcome), then
-  // take the final reap so tenant counters cover all of them.
+  // Drain the pool: its finish hook books every dispatched job.
   pool_.shutdown();
-  reap_finished();
 
   close_fd(unix_listen_fd_);
   close_fd(tcp_listen_fd_);
@@ -169,14 +174,21 @@ PushOutcome Daemon::submit_record(JobRecord record) {
   const std::string tenant = record.tenant;  // push() consumes the record
   {
     runtime::MutexLock lock(state_mu_);
-    ++tenants_[tenant].submitted;
+    ++tenants_[tenant].counters.submitted;
+    ++open_records_;
   }
   std::vector<ShedRecord> evictions;
   ShedReason reason{};
   const PushOutcome out = router_.push(std::move(record), &evictions, &reason);
-  if (!evictions.empty()) account_sheds(evictions);
-  if (out == PushOutcome::kShed) account_shed_reason(tenant, reason);
-  work_cv_.notify_one();
+  {
+    runtime::MutexLock lock(state_mu_);
+    book_sheds_locked(evictions);
+    if (out == PushOutcome::kShed)
+      book_shed_locked(tenant, reason);
+    else
+      router_hint_ = true;
+  }
+  if (out == PushOutcome::kAdmitted) dispatch_cv_.notify_one();
   return out;
 }
 
@@ -211,25 +223,34 @@ std::size_t Daemon::feed_replay_file(const std::string& path,
 void Daemon::dispatch(QueuedRecord rec) {
   runtime::SubmitOptions opts;
   opts.weight = rec.record.weight;
+  opts.tag.origin = rec.ingest;
+  bool expired = false;
   if (rec.record.deadline_ms > 0) {
     // The deadline budget runs from ingest: time already spent queued in
     // the router is gone.  A record whose budget is exhausted before
     // dispatch expires here, without ever touching the pool.
     const auto budget = std::chrono::milliseconds(rec.record.deadline_ms);
     const auto spent = Clock::now() - rec.ingest;
-    if (spent >= budget) {
-      runtime::MutexLock lock(state_mu_);
-      ++tenants_[rec.record.tenant].deadline_expired;
+    expired = spent >= budget;
+    if (!expired) opts.deadline = budget - spent;
+  }
+  {
+    runtime::MutexLock lock(state_mu_);
+    TenantBooks& books = tenants_[rec.record.tenant];
+    if (expired) {
+      book_locked(books.counters, runtime::JobOutcome::kDeadlineExpired);
       return;
     }
-    opts.deadline = budget - spent;
+    opts.tag.context = &books;
+    ++inflight_;
   }
 
   const double work = rec.record.work;
   const unsigned fanout = std::max(1u, rec.record.fanout);
   const double per = work / static_cast<double>(fanout);
   const double ns = config_.ns_per_unit;
-  runtime::JobHandle handle = pool_.submit(
+  // A refused or shed job runs the finish hook before submit() returns.
+  pool_.submit(
       [per, fanout, ns](runtime::TaskContext& ctx) {
         if (fanout > 1) {
           runtime::WaitGroup wg;
@@ -246,25 +267,25 @@ void Daemon::dispatch(QueuedRecord rec) {
         }
       },
       opts);
-
-  runtime::MutexLock lock(state_mu_);
-  pending_.push_back(
-      PendingJob{std::move(handle), std::move(rec.record.tenant), rec.ingest});
 }
 
 void Daemon::dispatcher_main() {
-  const std::size_t window = config_.dispatch_window > 0
-                                 ? config_.dispatch_window
-                                 : static_cast<std::size_t>(pool_.workers()) * 4;
   QueuedRecord rec;
-  while (true) {
-    if (reap_finished() < window && router_.try_pop(&rec)) {
-      dispatch(std::move(rec));
-      continue;
+  bool more = false;  // the last pop succeeded: the router may hold more
+  for (;;) {
+    {
+      runtime::MutexLock lock(state_mu_);
+      // Only this thread raises inflight_, so room seen here is still
+      // there at the pop.  An admission that lands after router_hint_ is
+      // cleared sets it again, so no record is left behind unseen.
+      while (!stop_.load(std::memory_order_acquire) &&
+             !((more || router_hint_) && inflight_ < window_))
+        dispatch_cv_.wait(state_mu_);
+      if (stop_.load(std::memory_order_acquire)) return;
+      router_hint_ = false;
     }
-    if (stop_.load(std::memory_order_acquire)) return;
-    runtime::MutexLock lock(work_mu_);
-    work_cv_.wait_for(work_mu_, std::chrono::milliseconds(1));
+    more = router_.try_pop(&rec);
+    if (more) dispatch(std::move(rec));
   }
 }
 
@@ -280,109 +301,89 @@ void Daemon::maintenance_main() {
 
     evictions.clear();
     router_.tick(stalled, &evictions);
-    if (!evictions.empty()) account_sheds(evictions);
-    reap_finished();
-
-    std::this_thread::sleep_for(config_.tick_interval);
+    runtime::MutexLock lock(state_mu_);
+    book_sheds_locked(evictions);
+    // A spurious wake only brings the next tick forward.
+    if (!stop_.load(std::memory_order_acquire))
+      tick_cv_.wait_for(state_mu_, config_.tick_interval);
   }
 }
 
-namespace {
-
-/// The reason->counter mapping shared by the per-record and batched
-/// accounting paths (callers hold state_mu_).
-void bump_shed_counter(TenantCounters& t, ShedReason reason) {
-  switch (reason) {
-    case ShedReason::kFairShare:
-    case ShedReason::kShedNew:
-    case ShedReason::kShedQueued:
+void Daemon::book_locked(TenantCounters& t, runtime::JobOutcome outcome) {
+  switch (outcome) {
+    case runtime::JobOutcome::kCompleted:
+      ++t.completed;
+      break;
+    case runtime::JobOutcome::kFailed:
+      ++t.failed;
+      break;
+    case runtime::JobOutcome::kDeadlineExpired:
+      ++t.deadline_expired;
+      break;
+    case runtime::JobOutcome::kShed:
       ++t.shed;
       break;
-    case ShedReason::kRejectTenant:
-    case ShedReason::kRejectDrain:
+    case runtime::JobOutcome::kRejected:
       ++t.rejected;
       break;
+    case runtime::JobOutcome::kRunning:
+      return;  // not terminal
   }
+  if (--open_records_ == 0) drained_cv_.notify_all();
 }
 
-}  // namespace
-
-void Daemon::account_shed_reason(const std::string& tenant,
-                                 ShedReason reason) {
-  runtime::MutexLock lock(state_mu_);
-  bump_shed_counter(tenants_[tenant], reason);
+void Daemon::book_shed_locked(const std::string& tenant, ShedReason reason) {
+  const bool rejected = reason == ShedReason::kRejectTenant ||
+                        reason == ShedReason::kRejectDrain;
+  book_locked(tenants_[tenant].counters,
+              rejected ? runtime::JobOutcome::kRejected
+                       : runtime::JobOutcome::kShed);
 }
 
-void Daemon::account_shed(const QueuedRecord& rec, ShedReason reason) {
-  account_shed_reason(rec.record.tenant, reason);
+void Daemon::book_sheds_locked(const std::vector<ShedRecord>& sheds) {
+  for (const ShedRecord& s : sheds)
+    book_shed_locked(s.item.record.tenant, s.reason);
 }
 
-void Daemon::account_sheds(const std::vector<ShedRecord>& sheds) {
-  for (const ShedRecord& s : sheds) account_shed(s.item, s.reason);
-}
-
-std::size_t Daemon::reap_finished() {
-  runtime::MutexLock lock(state_mu_);
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    PendingJob& p = pending_[i];
-    if (!p.handle->finished()) {
-      if (kept != i) pending_[kept] = std::move(p);
-      ++kept;
-      continue;
-    }
-    TenantCounters& t = tenants_[p.tenant];
-    switch (p.handle->outcome()) {
-      case runtime::JobOutcome::kCompleted: {
-        ++t.completed;
-        const double flow = std::chrono::duration<double>(
-                                p.handle->completion_time() - p.ingest)
-                                .count();
-        t.max_flow_seconds = std::max(t.max_flow_seconds, flow);
-        t.sum_flow_seconds += flow;
-        ++t.flow_samples;
-        auto fit = flow_.find(p.tenant);
-        if (fit == flow_.end()) {
-          metrics::StreamingFlowStats::Options opts;
-          opts.reservoir = kTenantFlowReservoir;
-          fit = flow_.emplace(p.tenant, metrics::StreamingFlowStats(opts))
-                    .first;
-        }
-        // Arrival 0 / completion `flow` records the flow value itself.
-        fit->second.record(t.flow_samples, 0.0, 1.0, flow);
-        break;
+void Daemon::on_job_finished(const runtime::Job& job) {
+  auto* books = static_cast<TenantBooks*>(job.tag().context);
+  if (books == nullptr) return;  // submitted straight to pool(), not routed
+  const runtime::JobOutcome outcome = job.outcome();
+  const double flow =
+      std::chrono::duration<double>(job.completion_time() - job.tag().origin)
+          .count();
+  bool slot_freed = false;
+  {
+    runtime::MutexLock lock(state_mu_);
+    TenantCounters& t = books->counters;
+    book_locked(t, outcome);
+    if (outcome == runtime::JobOutcome::kCompleted) {
+      t.max_flow_seconds = std::max(t.max_flow_seconds, flow);
+      t.sum_flow_seconds += flow;
+      ++t.flow_samples;
+      if (!books->flow) {
+        metrics::StreamingFlowStats::Options opts;
+        opts.reservoir = kTenantFlowReservoir;
+        books->flow.emplace(opts);
       }
-      case runtime::JobOutcome::kFailed:
-        ++t.failed;
-        break;
-      case runtime::JobOutcome::kDeadlineExpired:
-        ++t.deadline_expired;
-        break;
-      case runtime::JobOutcome::kShed:
-        ++t.shed;
-        break;
-      case runtime::JobOutcome::kRejected:
-        ++t.rejected;
-        break;
-      case runtime::JobOutcome::kRunning:
-        break;  // unreachable: finished() implies terminal
+      // Arrival 0 / completion `flow` records the flow value itself.
+      books->flow->record(t.flow_samples, 0.0, 1.0, flow);
     }
+    // The dispatcher only waits on the window when it is full.
+    slot_freed = inflight_-- == window_;
   }
-  pending_.resize(kept);
-  return kept;
+  if (slot_freed) dispatch_cv_.notify_one();
 }
 
 bool Daemon::drain(std::chrono::milliseconds timeout) {
   router_.begin_drain();
   const Clock::time_point deadline = Clock::now() + timeout;
-  while (Clock::now() < deadline) {
-    const std::size_t queued = router_.depth();
-    const std::size_t inflight = reap_finished();
-    if (queued == 0 && inflight == 0) return true;
-    work_cv_.notify_one();  // keep the dispatcher popping
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return false;
+  // Every routed record is open until its terminal outcome is booked, so
+  // zero open records means the router is empty and nothing is in flight.
+  runtime::MutexLock lock(state_mu_);
+  while (open_records_ > 0 && Clock::now() < deadline)
+    drained_cv_.wait_for(state_mu_, deadline - Clock::now());
+  return open_records_ == 0;
 }
 
 void Daemon::quarantine_line(std::string_view line, std::string_view why,
@@ -402,16 +403,20 @@ DaemonSnapshot Daemon::snapshot() const {
   snap.router = router_.stats();
   snap.pool = pool_.stats();
   snap.admission = pool_.admission_stats();
-  runtime::MutexLock lock(state_mu_);
-  snap.feed = feed_;
-  snap.tenants = tenants_;
-  snap.inflight = pending_.size();
-  snap.quarantine.assign(quarantine_.begin(), quarantine_.end());
-  for (const auto& [name, stats] : flow_) {
-    const auto it = snap.tenants.find(name);
-    if (it != snap.tenants.end())
-      it->second.p99_flow_seconds = stats.summary().p99;
+  std::vector<std::pair<TenantCounters*, metrics::StreamingFlowStats>> flows;
+  {
+    runtime::MutexLock lock(state_mu_);
+    snap.feed = feed_;
+    snap.inflight = inflight_;
+    snap.quarantine.assign(quarantine_.begin(), quarantine_.end());
+    for (const auto& [name, books] : tenants_) {
+      TenantCounters& t = snap.tenants[name];
+      t = books.counters;
+      if (books.flow) flows.emplace_back(&t, *books.flow);
+    }
   }
+  // Quantiles after unlocking: every finishing job takes state_mu_.
+  for (auto& [t, flow] : flows) t->p99_flow_seconds = flow.summary().p99;
   return snap;
 }
 
@@ -597,7 +602,8 @@ void Daemon::admit_records(std::vector<JobRecord>& records,
     runtime::MutexLock lock(state_mu_);
     feed_.records += records.size();
     ++feed_.batches;
-    for (const JobRecord& r : records) ++tenants_[r.tenant].submitted;
+    for (const JobRecord& r : records) ++tenants_[r.tenant].counters.submitted;
+    open_records_ += records.size();
   }
   evictions.clear();
   router_.admit_batch({records.data(), records.size()}, &outcomes, &evictions,
@@ -605,16 +611,16 @@ void Daemon::admit_records(std::vector<JobRecord>& records,
   bool admitted_any = false;
   {
     runtime::MutexLock lock(state_mu_);
-    for (const ShedRecord& s : evictions)
-      bump_shed_counter(tenants_[s.item.record.tenant], s.reason);
+    book_sheds_locked(evictions);
     for (std::size_t i = 0; i < records.size(); ++i) {
       if (outcomes[i].outcome == PushOutcome::kShed)
-        bump_shed_counter(tenants_[records[i].tenant], outcomes[i].reason);
+        book_shed_locked(records[i].tenant, outcomes[i].reason);
       else
         admitted_any = true;
     }
+    if (admitted_any) router_hint_ = true;
   }
-  if (admitted_any) work_cv_.notify_one();
+  if (admitted_any) dispatch_cv_.notify_one();
   records.clear();
 }
 

@@ -5,11 +5,12 @@
 // Threads owned by a Daemon:
 //
 //   dispatcher   pops weighted-fair from the router and submits to the
-//                pool; enforces per-record deadline budgets (time already
-//                spent queued in the router counts against the budget);
+//                pool while fewer than dispatch_window jobs are unfinished,
+//                woken by admissions and completions (the pool's finish
+//                hook books each job); enforces per-record deadline budgets
+//                (time queued in the router counts against the budget);
 //   maintenance  ticks the degradation ladder (utilization + watchdog
-//                stall signal), accounts tick-time evictions, and reaps
-//                finished pool jobs into per-tenant counters;
+//                stall signal) and accounts tick-time evictions;
 //   io shards (optional) N poll()-based event loops (--io-threads; default
 //                hw_concurrency/4) over the configured Unix/TCP listeners
 //                and their connections.  Shard 0 accepts and hands each new
@@ -36,6 +37,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -74,13 +76,13 @@ struct DaemonConfig {
   /// Byte cap on the slow-dribble guard: a connection is closed once this
   /// many bytes arrive without a completed line, however fast they come.
   std::size_t slow_drip_byte_cap = 16 * kMaxLineBytes;
-  /// Ladder/reaper cadence.
+  /// Degradation-ladder tick cadence.
   std::chrono::milliseconds tick_interval{10};
   /// Connections beyond this are accepted and immediately closed.
   std::size_t max_connections = 64;
   /// CPU time rendered per work unit (see runtime::spin_for_units).
   double ns_per_unit = 1000.0;
-  /// Max jobs dispatched to the pool but not yet reaped (0 = 4x workers).
+  /// Max jobs dispatched to the pool and not yet finished (0 = 4x workers).
   /// The dispatcher stops popping at the window so the backlog stays in
   /// the ROUTER — where weighted fairness and the ladder's utilization
   /// signal live — instead of leaking into the pool's FIFO queue.
@@ -145,7 +147,7 @@ struct DaemonSnapshot {
   runtime::AdmissionQueue::Stats admission;
   FeedStats feed;
   std::map<std::string, TenantCounters> tenants;
-  std::size_t inflight = 0;  ///< dispatched to the pool, not yet reaped
+  std::size_t inflight = 0;  ///< dispatched to the pool, not yet finished
   std::vector<std::string> quarantine;  ///< recent malformed-line samples
 };
 
@@ -201,10 +203,13 @@ class Daemon {
   int tcp_port() const { return tcp_port_; }
 
  private:
-  struct PendingJob {
-    runtime::JobHandle handle;
-    std::string tenant;
-    Clock::time_point ingest{};
+  /// One tenant's books.  A dispatched job's JobTag points at its map
+  /// node (nodes never move), so the finish hook books it with no lookup.
+  struct TenantBooks {
+    TenantCounters counters;
+    /// Completed-flow reservoir backing the p99 export; made on the
+    /// tenant's first completion.
+    std::optional<metrics::StreamingFlowStats> flow;
   };
 
   /// One live feed connection, owned by exactly one io shard.
@@ -257,41 +262,50 @@ class Daemon {
 
   /// Submits one popped record to the pool (dispatcher thread).
   void dispatch(QueuedRecord rec);
+  /// The pool's finish hook: books a dispatched job's terminal outcome and
+  /// frees its window slot.
+  void on_job_finished(const runtime::Job& job);
   /// Books a terminal outcome for a record the router gave up on.
-  void account_shed_reason(const std::string& tenant, ShedReason reason);
-  void account_shed(const QueuedRecord& rec, ShedReason reason);
-  void account_sheds(const std::vector<ShedRecord>& sheds);
-  /// Moves finished pending jobs into tenant counters; returns how many
-  /// jobs are still in flight.
-  std::size_t reap_finished();
+  void book_shed_locked(const std::string& tenant, ShedReason reason)
+      PJSCHED_REQUIRES(state_mu_);
+  void book_sheds_locked(const std::vector<ShedRecord>& sheds)
+      PJSCHED_REQUIRES(state_mu_);
+  /// Books one record's terminal outcome; the last open record wakes
+  /// drain().
+  void book_locked(TenantCounters& t, runtime::JobOutcome outcome)
+      PJSCHED_REQUIRES(state_mu_);
   /// Saves a quarantine sample for diagnosis.  `count_malformed` is false
   /// for slow-drip closes, which have their own counter.
   void quarantine_line(std::string_view line, std::string_view why,
                        bool count_malformed = true);
 
   const DaemonConfig config_;
-  runtime::ThreadPool pool_;
+  const std::size_t window_;  ///< config_.dispatch_window or its default
   TenantRouter router_;
 
   mutable runtime::Mutex state_mu_;
-  std::map<std::string, TenantCounters> tenants_ PJSCHED_GUARDED_BY(state_mu_);
-  /// Per-tenant completed-flow reservoirs backing the p99 export.
-  std::map<std::string, metrics::StreamingFlowStats> flow_
-      PJSCHED_GUARDED_BY(state_mu_);
-  std::vector<PendingJob> pending_ PJSCHED_GUARDED_BY(state_mu_);
+  std::map<std::string, TenantBooks> tenants_ PJSCHED_GUARDED_BY(state_mu_);
   FeedStats feed_ PJSCHED_GUARDED_BY(state_mu_);
   std::deque<std::string> quarantine_ PJSCHED_GUARDED_BY(state_mu_);
-
-  /// Dispatcher wakeup: submit_record notifies after a successful push.
-  // lint: allow(wait-lock): pairs with work_cv_ only; guards no data — the
-  // dispatcher's pop predicate reads the router under its own locks, this
-  // lock just closes the check-then-block window.
-  runtime::Mutex work_mu_;
-  runtime::CondVar work_cv_;
+  /// Records booked `submitted` and not yet terminal, over all tenants.
+  std::uint64_t open_records_ PJSCHED_GUARDED_BY(state_mu_) = 0;
+  /// Jobs dispatched to the pool and not yet finished; at most window_.
+  std::size_t inflight_ PJSCHED_GUARDED_BY(state_mu_) = 0;
+  /// Set by every admission: the router may hold a record the dispatcher
+  /// has not seen.  The dispatcher clears it before each pop.
+  bool router_hint_ PJSCHED_GUARDED_BY(state_mu_) = false;
+  /// All three wait on state_mu_; their predicates read state_mu_'s fields
+  /// and stop_, so every waker changes those under state_mu_ first.
+  runtime::CondVar dispatch_cv_;  ///< router_hint_ set or a slot freed
+  runtime::CondVar drained_cv_;   ///< open_records_ reached 0
+  runtime::CondVar tick_cv_;      ///< stop_ (cuts a maintenance wait short)
 
   std::atomic<bool> stop_{false};
   /// Open connections across all io shards (max_connections gate).
   std::atomic<std::size_t> open_conns_{0};
+
+  /// Declared after the books its finish hook writes: destroyed first.
+  runtime::ThreadPool pool_;
 
   int unix_listen_fd_ = -1;
   int tcp_listen_fd_ = -1;

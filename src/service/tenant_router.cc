@@ -51,40 +51,19 @@ double TenantRouter::fair_share_locked(const RouterShard& shard,
   return static_cast<double>(shard_capacity_) * tenant.weight / weight_sum;
 }
 
-TenantRouter::Tenant* TenantRouter::most_over_share_locked(
-    RouterShard& shard, const std::string** out_name) {
-  Tenant* best = nullptr;
-  const std::string* best_name = nullptr;
-  double best_overload = 0.0;
-  for (auto& [name, t] : shard.tenants) {
-    if (t.queue.empty()) continue;
-    const double share = fair_share_locked(shard, t);
-    if (static_cast<double>(t.queue.size()) <= share) continue;
-    const double overload = static_cast<double>(t.queue.size()) / t.weight;
-    // Largest queued-per-weight wins; ties go to the tenant whose head
-    // record queued earliest (its backlog has been over share the longest).
-    const bool wins =
-        best == nullptr || overload > best_overload ||
-        (overload == best_overload &&
-         t.queue.front().seq < best->queue.front().seq);
-    if (wins) {
-      best = &t;
-      best_name = &name;
-      best_overload = overload;
-    }
-  }
-  if (out_name != nullptr) *out_name = best_name;
-  return best;
-}
-
-TenantRouter::Tenant* TenantRouter::most_loaded_locked(
-    RouterShard& shard, const std::string** out_name) {
+TenantRouter::Tenant* TenantRouter::heaviest_locked(
+    RouterShard& shard, bool over_share_only, const std::string** out_name) {
   Tenant* best = nullptr;
   const std::string* best_name = nullptr;
   double best_load = 0.0;
   for (auto& [name, t] : shard.tenants) {
     if (t.queue.empty()) continue;
+    if (over_share_only &&
+        static_cast<double>(t.queue.size()) <= fair_share_locked(shard, t))
+      continue;
     const double load = static_cast<double>(t.queue.size()) / t.weight;
+    // Ties go to the tenant whose head record queued earliest (its backlog
+    // has waited the longest).
     const bool wins = best == nullptr || load > best_load ||
                       (load == best_load &&
                        t.queue.front().seq < best->queue.front().seq);
@@ -138,7 +117,7 @@ PushOutcome TenantRouter::admit_locked(RouterShard& shard,
     const double incoming_load =
         (static_cast<double>(tenant.queue.size()) + 1.0) / tenant.weight;
     const std::string* victim_name = nullptr;
-    Tenant* victim = most_loaded_locked(shard, &victim_name);
+    Tenant* victim = heaviest_locked(shard, false, &victim_name);
     if (victim == nullptr ||
         static_cast<double>(victim->queue.size()) / victim->weight <
             incoming_load) {
@@ -343,9 +322,9 @@ Rung TenantRouter::tick(bool stalled, std::vector<ShedRecord>* evictions) {
       for (auto& shard : shards_) {
         runtime::MutexLock shard_lock(shard->mu);
         const std::string* name = nullptr;
-        Tenant* over = most_over_share_locked(*shard, &name);
+        Tenant* over = heaviest_locked(*shard, true, &name);
         const bool is_over = over != nullptr;
-        Tenant* t = is_over ? over : most_loaded_locked(*shard, &name);
+        Tenant* t = is_over ? over : heaviest_locked(*shard, false, &name);
         if (t == nullptr) continue;
         const double load = static_cast<double>(t->queue.size()) / t->weight;
         const std::uint64_t seq = t->queue.front().seq;

@@ -247,15 +247,13 @@ class TenantRouter {
   double fair_share_locked(const RouterShard& shard,
                            const Tenant& tenant) const
       PJSCHED_REQUIRES(shard.mu);
-  /// The most-over-share tenant of a shard (largest queued/weight among
-  /// those above share), or nullptr.  `out_name` receives its key.
-  Tenant* most_over_share_locked(RouterShard& shard,
-                                 const std::string** out_name)
-      PJSCHED_REQUIRES(shard.mu);
-  /// The most-loaded tenant of a shard (largest queued/weight, no share
-  /// threshold; ties to the earliest-queued head), or nullptr when every
-  /// queue is empty.  The full-shard eviction rule compares against this.
-  Tenant* most_loaded_locked(RouterShard& shard, const std::string** out_name)
+  /// The most-loaded tenant of a shard (largest queued/weight; ties to
+  /// the earliest-queued head), among those above their fair share when
+  /// `over_share_only`; nullptr when none qualifies.  `out_name` receives
+  /// its key.  The full-shard eviction rule compares against the
+  /// unrestricted one.
+  Tenant* heaviest_locked(RouterShard& shard, bool over_share_only,
+                          const std::string** out_name)
       PJSCHED_REQUIRES(shard.mu);
   /// Trims every over-share tenant of `shard` back to its fair share.
   void trim_shard_locked(RouterShard& shard,

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <string>
@@ -262,6 +264,46 @@ TEST(ServiceDaemon, DeadlineBudgetExpiresSlowJobs) {
   const DaemonSnapshot snap = daemon.snapshot();
   EXPECT_EQ(snap.tenants.at("sla").deadline_expired, 1u);
   EXPECT_EQ(snap.tenants.at("sla").completed, 1u);
+  expect_books_balance(snap);
+}
+
+TEST(ServiceDaemon, CompletionsDriveDispatchThroughAOneJobWindow) {
+  // A one-job window with no maintenance tick during the run: each
+  // completion must wake the dispatcher for the next record.  A dispatcher
+  // that instead polls on a 1 ms timer needs at least kRecords ms; the
+  // drain timeout is half of that.
+  constexpr int kRecords = 1000;
+  DaemonConfig config = small_config();
+  config.dispatch_window = 1;
+  config.tick_interval = 5s;
+  config.router.capacity = 4 * kRecords;
+  Daemon daemon(config);
+
+  std::atomic<bool> sampling{true};
+  std::size_t max_inflight = 0;
+  std::thread sampler([&] {
+    while (sampling.load()) {
+      max_inflight = std::max(max_inflight, daemon.snapshot().inflight);
+      std::this_thread::sleep_for(100us);
+    }
+  });
+  for (int i = 0; i < kRecords; ++i) {
+    JobRecord r;
+    r.tenant = i % 2 == 0 ? "even" : "odd";
+    r.work = 1;
+    EXPECT_EQ(daemon.submit_record(r), PushOutcome::kAdmitted);
+  }
+  const bool drained = daemon.drain(std::chrono::milliseconds(kRecords / 2));
+  sampling.store(false);
+  sampler.join();
+
+  EXPECT_TRUE(drained);
+  EXPECT_LE(max_inflight, 1u);
+  const DaemonSnapshot snap = daemon.snapshot();
+  EXPECT_EQ(snap.inflight, 0u);
+  const std::uint64_t completed =
+      snap.tenants.at("even").completed + snap.tenants.at("odd").completed;
+  EXPECT_EQ(completed, static_cast<std::uint64_t>(kRecords));
   expect_books_balance(snap);
 }
 

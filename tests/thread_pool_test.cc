@@ -524,6 +524,163 @@ TEST(ThreadPoolFaultTest, CancelledFlagVisibleInsideBody) {
   EXPECT_FALSE(observed_cancelled.load());
 }
 
+// The finish hook: exactly once per job on every terminal outcome, after
+// the recorder write and before the job's waiters wake.
+class HookProbe {
+ public:
+  /// Per-job record, reached through the job's tag.
+  struct Slot {
+    std::atomic<int> calls{0};
+    std::atomic<JobOutcome> outcome{JobOutcome::kRunning};
+  };
+
+  /// The hook for a pool; call attach() before the pool's first submit.
+  FinishHook hook() {
+    return [this](const Job& job) {
+      const std::uint64_t entered = entered_.fetch_add(1) + 1;
+      // This job, and every job hooked before it, is already recorded;
+      // the job's waiters have not been woken yet.
+      if (pool_->recorder().outcome_counts().total() < entered ||
+          job.finished())
+        misordered_.store(true);
+      auto* slot = static_cast<Slot*>(job.tag().context);
+      if (slot == nullptr) return;
+      slot->outcome.store(job.outcome());
+      slot->calls.fetch_add(1);
+    };
+  }
+  void attach(ThreadPool& pool) { pool_ = &pool; }
+
+  static SubmitOptions tagged(Slot& slot) {
+    SubmitOptions options;
+    options.tag.context = &slot;
+    return options;
+  }
+
+  std::uint64_t entered() const { return entered_.load(); }
+  bool misordered() const { return misordered_.load(); }
+
+ private:
+  ThreadPool* pool_ = nullptr;
+  std::atomic<std::uint64_t> entered_{0};
+  std::atomic<bool> misordered_{false};
+};
+
+TEST(ThreadPoolHookTest, FiresOnceForEachOutcomeOnAWorker) {
+  HookProbe probe;
+  ThreadPool pool({.workers = 1, .steal_k = 0, .seed = 31}, probe.hook());
+  probe.attach(pool);
+  HookProbe::Slot completed, failed, expired;
+
+  auto ok = pool.submit([](TaskContext&) {}, HookProbe::tagged(completed));
+  ok->wait();
+  // wait() returning means the hook has returned.
+  EXPECT_EQ(completed.calls.load(), 1);
+
+  pool.submit([](TaskContext&) { throw std::runtime_error("boom"); },
+              HookProbe::tagged(failed))
+      ->wait();
+  EXPECT_EQ(failed.calls.load(), 1);
+
+  WorkerGate gate;
+  gate.submit_to(pool);
+  SubmitOptions late = HookProbe::tagged(expired);
+  late.deadline = std::chrono::milliseconds(1);
+  pool.submit([](TaskContext&) {}, late);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  gate.release.store(true);
+  pool.wait_all();
+
+  EXPECT_EQ(completed.outcome.load(), JobOutcome::kCompleted);
+  EXPECT_EQ(failed.outcome.load(), JobOutcome::kFailed);
+  EXPECT_EQ(expired.outcome.load(), JobOutcome::kDeadlineExpired);
+  EXPECT_EQ(expired.calls.load(), 1);
+  EXPECT_EQ(probe.entered(), 4u);  // the three above plus the gate
+  EXPECT_EQ(pool.recorder().outcome_counts().total(), 4u);
+  EXPECT_FALSE(probe.misordered());
+}
+
+TEST(ThreadPoolHookTest, FiresOnceOnTheSubmitterForRejectedAndShedJobs) {
+  for (const BackpressurePolicy policy :
+       {BackpressurePolicy::kRejectNewest, BackpressurePolicy::kShedOldest}) {
+    SCOPED_TRACE(to_string(policy));
+    HookProbe probe;
+    PoolOptions options;
+    options.workers = 1;
+    options.seed = 32;
+    options.admission_capacity = 1;
+    options.backpressure = policy;
+    ThreadPool pool(options, probe.hook());
+    probe.attach(pool);
+    WorkerGate gate;
+    gate.submit_to(pool);
+    HookProbe::Slot first, second;
+    pool.submit([](TaskContext&) {}, HookProbe::tagged(first));
+    pool.submit([](TaskContext&) {}, HookProbe::tagged(second));
+    // The refused (or evicted) job was hooked before submit() returned.
+    const bool reject = policy == BackpressurePolicy::kRejectNewest;
+    HookProbe::Slot& dropped = reject ? second : first;
+    HookProbe::Slot& kept = reject ? first : second;
+    EXPECT_EQ(dropped.calls.load(), 1);
+    EXPECT_EQ(dropped.outcome.load(),
+              reject ? JobOutcome::kRejected : JobOutcome::kShed);
+    gate.release.store(true);
+    pool.wait_all();
+    EXPECT_EQ(dropped.calls.load(), 1);
+    EXPECT_EQ(kept.calls.load(), 1);
+    EXPECT_EQ(kept.outcome.load(), JobOutcome::kCompleted);
+    EXPECT_EQ(probe.entered(), 3u);
+    EXPECT_FALSE(probe.misordered());
+  }
+}
+
+TEST(ThreadPoolHookTest, FiresOnceForJobsRacingShutdown) {
+  // A submit racing shutdown() runs, is refused by the closed queue, or is
+  // shed by the shutdown drain; whichever happens, its hook fires once.
+  // The last two need the submitter to be preempted between its
+  // accepting-check and its submission count, so most rounds see only
+  // completions; the assertions hold for every path a round takes.
+  constexpr std::size_t kMaxJobs = 4096;
+  for (int round = 0; round < 20; ++round) {
+    HookProbe probe;
+    ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 33}, probe.hook());
+    probe.attach(pool);
+    std::vector<HookProbe::Slot> slots(kMaxJobs);
+    std::vector<JobHandle> handles;
+    handles.reserve(kMaxJobs);
+    std::thread submitter([&] {
+      for (HookProbe::Slot& slot : slots) {
+        try {
+          handles.push_back(
+              pool.submit([](TaskContext&) {}, HookProbe::tagged(slot)));
+        } catch (const std::logic_error&) {
+          return;  // shut down: this job was never created
+        }
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    pool.shutdown();
+    submitter.join();
+    ASSERT_EQ(probe.entered(), handles.size());
+    for (std::size_t i = 0; i < slots.size(); ++i)
+      ASSERT_EQ(slots[i].calls.load(), i < handles.size() ? 1 : 0) << i;
+    EXPECT_EQ(pool.recorder().outcome_counts().total(), handles.size());
+    EXPECT_FALSE(probe.misordered());
+  }
+}
+
+TEST(ThreadPoolHookTest, PoolWithoutHookCarriesTagsAndRecords) {
+  ThreadPool pool({.workers = 2, .steal_k = 0, .seed = 34});
+  int context = 0;
+  SubmitOptions options;
+  options.tag.context = &context;
+  auto job = pool.submit([](TaskContext&) {}, options);
+  job->wait();
+  EXPECT_EQ(job->tag().context, &context);
+  EXPECT_EQ(job->outcome(), JobOutcome::kCompleted);
+  EXPECT_EQ(pool.recorder().count(), 1u);
+}
+
 TEST(FlowRecorderTest, OutcomeAccountingAndFlowExclusion) {
   FlowRecorder recorder;
   recorder.record(1.0, 1.0, JobOutcome::kCompleted);
